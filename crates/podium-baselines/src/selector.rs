@@ -21,10 +21,10 @@ pub trait Selector: Send + Sync {
     /// should prefer this entry point when comparing selectors.
     ///
     /// Engine-backed selectors get instance- and CSR-level checks for free
-    /// on this path: building a `SelectionEngine` under debug assertions
-    /// runs `DiversificationInstance::validate()` and the CSR graph's
-    /// structural self-check, so `select_checked` vets both the input
-    /// instance and the output selection.
+    /// on this path: under debug assertions `engine::select` runs
+    /// `DiversificationInstance::validate()` and CSR construction runs the
+    /// graph's structural self-check, so `select_checked` vets both the
+    /// input instance and the output selection.
     fn select_checked(&self, repo: &UserRepository, b: usize) -> Vec<UserId> {
         let selection = self.select(repo, b);
         debug_assert!(

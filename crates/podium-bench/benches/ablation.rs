@@ -3,12 +3,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use podium_core::bucket::BucketingConfig;
-use podium_core::greedy::greedy_select;
+use podium_core::engine::{select, CsrGraph, SelectSpec, Strategy};
+use podium_core::greedy::{greedy_select, Selection};
 use podium_core::group::GroupSet;
 use podium_core::instance::DiversificationInstance;
-use podium_core::lazy_greedy::lazy_greedy_select;
 use podium_core::weights::{CovScheme, WeightScheme};
 use podium_data::synth::tripadvisor;
+
+/// One-shot CELF, building the CSR graph per call like `greedy_select`.
+fn lazy_select(inst: &DiversificationInstance<f64>, b: usize) -> Selection<f64> {
+    let csr = CsrGraph::from_group_set(inst.groups());
+    select(inst, &csr, &SelectSpec::new(b, Strategy::Lazy)).expect("plain CELF completes")
+}
 
 fn bench_eager_vs_lazy(c: &mut Criterion) {
     let dataset = tripadvisor(0.1, 8).generate();
@@ -25,13 +31,13 @@ fn bench_eager_vs_lazy(c: &mut Criterion) {
         b.iter(|| greedy_select(std::hint::black_box(&inst), 8));
     });
     g.bench_function("lazy_b8", |b| {
-        b.iter(|| lazy_greedy_select(std::hint::black_box(&inst), 8));
+        b.iter(|| lazy_select(std::hint::black_box(&inst), 8));
     });
     g.bench_function("eager_b64", |b| {
         b.iter(|| greedy_select(std::hint::black_box(&inst), 64));
     });
     g.bench_function("lazy_b64", |b| {
-        b.iter(|| lazy_greedy_select(std::hint::black_box(&inst), 64));
+        b.iter(|| lazy_select(std::hint::black_box(&inst), 64));
     });
     g.finish();
 }

@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use podium_core::bucket::BucketingConfig;
-use podium_core::engine::{EngineVariant, SelectionEngine};
-use podium_core::greedy::greedy_select;
+use podium_core::engine::{select, CsrGraph, SelectSpec, Strategy};
+use podium_core::greedy::{greedy_select, TieBreak};
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
@@ -14,7 +14,7 @@ use podium_data::synth::tripadvisor;
 
 /// Deterministic synthetic group structure for engine throughput runs:
 /// `n / 2` overlapping groups of 3–18 users (the scale a property bucket
-/// reaches on the paper's review datasets), so every variant sees the same
+/// reaches on the paper's review datasets), so every strategy sees the same
 /// instance without paying dataset bucketing costs.
 fn synthetic_groups(n: usize) -> GroupSet {
     let mut state = 0x2545_F491_4F6C_DD1Du64 ^ n as u64;
@@ -113,11 +113,15 @@ fn bench_engine_variants(c: &mut Criterion) {
                 CovScheme::Single,
                 budget,
             );
-            let engine = SelectionEngine::new(&inst);
-            for variant in EngineVariant::ALL {
-                let id = BenchmarkId::new(variant.label(), format!("n{n}/b{budget}"));
-                group.bench_with_input(id, &engine, |b, engine| {
-                    b.iter(|| std::hint::black_box(engine).select(variant, budget));
+            let csr = CsrGraph::from_group_set(&groups);
+            let eager = Strategy::Eager {
+                tie_break: TieBreak::FirstUser,
+            };
+            for (label, strategy) in [("eager", eager), ("lazy_heap", Strategy::Lazy)] {
+                let spec = SelectSpec::new(budget, strategy);
+                let id = BenchmarkId::new(label, format!("n{n}/b{budget}"));
+                group.bench_with_input(id, &inst, |b, inst| {
+                    b.iter(|| select(std::hint::black_box(inst), &csr, &spec));
                 });
             }
             // The public one-shot API (CSR rebuilt per call).

@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use podium_baselines::prelude::*;
 use podium_bench::selectors::PodiumSelector;
-use podium_core::engine::EngineVariant;
+use podium_core::engine::Strategy;
+use podium_core::greedy::TieBreak;
 use podium_data::synth::tripadvisor;
 
 fn bench_users_sweep(c: &mut Criterion) {
@@ -16,9 +17,12 @@ fn bench_users_sweep(c: &mut Criterion) {
         let repo = &dataset.repo;
         let clustering = KMeansSelector::new(5);
         let distance = DistanceSelector::new(5);
-        for variant in EngineVariant::ALL {
-            let podium = PodiumSelector::paper_default().with_engine(variant);
-            let id = BenchmarkId::new(format!("podium_{}", variant.label()), users);
+        let eager = Strategy::Eager {
+            tie_break: TieBreak::FirstUser,
+        };
+        for (label, strategy) in [("eager", eager), ("lazy_heap", Strategy::Lazy)] {
+            let podium = PodiumSelector::paper_default().with_strategy(strategy);
+            let id = BenchmarkId::new(format!("podium_{label}"), users);
             group.bench_with_input(id, repo, |b, r| {
                 b.iter(|| podium.select(std::hint::black_box(r), 8));
             });

@@ -550,6 +550,7 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
 fn run_ablation(scale: f64, budget: usize, seed: u64) {
     use podium_bench::selectors::PodiumSelector;
     use podium_core::bucket::{BucketStrategy, BucketingConfig};
+    use podium_core::engine::{select, SelectSpec, Strategy};
     use podium_core::group::GroupSet;
     use podium_core::instance::DiversificationInstance;
     use podium_core::weights::{CovScheme, WeightScheme};
@@ -672,8 +673,11 @@ fn run_ablation(scale: f64, budget: usize, seed: u64) {
 
     // Greedy engines: eager vs lazy (CELF) vs stochastic.
     println!("\ngreedy engine ablation:");
-    for (name, lazy) in [("eager", false), ("lazy (CELF)", true)] {
-        let selector = PodiumSelector::paper_default().with_lazy(lazy);
+    let eager = Strategy::Eager {
+        tie_break: podium_core::greedy::TieBreak::FirstUser,
+    };
+    for (name, strategy) in [("eager", eager), ("lazy (CELF)", Strategy::Lazy)] {
+        let selector = PodiumSelector::paper_default().with_strategy(strategy);
         let t0 = std::time::Instant::now();
         let sel = podium_baselines::selector::Selector::select(&selector, repo, budget);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -682,8 +686,9 @@ fn run_ablation(scale: f64, budget: usize, seed: u64) {
     }
     for eps in [0.2, 0.05] {
         let t0 = std::time::Instant::now();
-        let sel =
-            podium_core::stochastic_greedy::stochastic_greedy_select(&eval, budget, eps, seed);
+        let csr = podium_core::engine::CsrGraph::from_group_set(eval.groups());
+        let spec = SelectSpec::new(budget, Strategy::Stochastic { epsilon: eps, seed });
+        let sel = select(&eval, &csr, &spec).expect("stochastic runs always complete");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let score = eval.score_of(&sel.users);
         println!("  stochastic ε={eps:<4}: score {score:>10.1} in {ms:.1} ms");

@@ -2,7 +2,8 @@
 
 use podium_baselines::prelude::*;
 use podium_core::bucket::BucketingConfig;
-use podium_core::engine::{EngineVariant, SelectionEngine};
+use podium_core::engine::{select, CsrGraph, SelectSpec, Strategy};
+use podium_core::greedy::TieBreak;
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
@@ -20,9 +21,9 @@ pub struct PodiumSelector {
     pub weight: WeightScheme,
     /// Coverage scheme.
     pub cov: CovScheme,
-    /// Which selection-engine variant runs the greedy loop. All variants
-    /// produce identical selections; they differ only in throughput.
-    pub engine: EngineVariant,
+    /// The greedy strategy. `Eager { FirstUser }` and `Lazy` produce
+    /// identical selections; they differ only in throughput.
+    pub strategy: Strategy,
 }
 
 impl PodiumSelector {
@@ -32,7 +33,9 @@ impl PodiumSelector {
             bucketing: BucketingConfig::adaptive_default(),
             weight: WeightScheme::LinearBySize,
             cov: CovScheme::Single,
-            engine: EngineVariant::Eager,
+            strategy: Strategy::Eager {
+                tie_break: TieBreak::FirstUser,
+            },
         }
     }
 
@@ -42,19 +45,9 @@ impl PodiumSelector {
         self
     }
 
-    /// Switches between the eager and lazy-heap (CELF) implementations.
-    /// Kept for compatibility; prefer [`Self::with_engine`].
-    pub fn with_lazy(self, lazy: bool) -> Self {
-        self.with_engine(if lazy {
-            EngineVariant::LazyHeap
-        } else {
-            EngineVariant::Eager
-        })
-    }
-
-    /// Selects the engine variant that runs the greedy loop.
-    pub fn with_engine(mut self, engine: EngineVariant) -> Self {
-        self.engine = engine;
+    /// Selects the greedy strategy.
+    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
         self
     }
 }
@@ -71,8 +64,10 @@ impl Selector for PodiumSelector {
         let buckets = self.bucketing.bucketize(repo);
         let groups = GroupSet::build(repo, &buckets);
         let inst = DiversificationInstance::from_schemes(&groups, self.weight, self.cov, b);
-        let sel = SelectionEngine::new(&inst).select(self.engine, b);
-        sel.users
+        let csr = CsrGraph::from_group_set(&groups);
+        select(&inst, &csr, &SelectSpec::new(b, self.strategy))
+            .expect("an unconstrained, unhooked run always completes")
+            .users
     }
 }
 
@@ -102,25 +97,16 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_variant_picks_the_same_users() {
+    fn eager_and_lazy_pick_the_same_users() {
         let repo = podium_data::table2::table2();
         let eager = PodiumSelector::paper_default()
             .with_bucketing(BucketingConfig::paper_default())
             .select(&repo, 3);
-        for variant in EngineVariant::ALL {
-            let picked = PodiumSelector::paper_default()
-                .with_bucketing(BucketingConfig::paper_default())
-                .with_engine(variant)
-                .select(&repo, 3);
-            assert_eq!(picked, eager, "variant {}", variant.label());
-        }
-    }
-
-    #[test]
-    fn with_lazy_maps_onto_engine_variants() {
-        let base = PodiumSelector::paper_default();
-        assert_eq!(base.clone().with_lazy(true).engine, EngineVariant::LazyHeap);
-        assert_eq!(base.with_lazy(false).engine, EngineVariant::Eager);
+        let lazy = PodiumSelector::paper_default()
+            .with_bucketing(BucketingConfig::paper_default())
+            .with_strategy(Strategy::Lazy)
+            .select(&repo, 3);
+        assert_eq!(lazy, eager);
     }
 
     #[test]
@@ -131,7 +117,7 @@ mod tests {
             .select(&repo, 3);
         let lazy = PodiumSelector::paper_default()
             .with_bucketing(BucketingConfig::paper_default())
-            .with_lazy(true)
+            .with_strategy(Strategy::Lazy)
             .select(&repo, 3);
         // Same objective value even if tie-broken differently.
         let buckets = BucketingConfig::paper_default().bucketize(&repo);

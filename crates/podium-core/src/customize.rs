@@ -43,8 +43,9 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::engine::{select, CsrGraph, SelectSpec, Strategy};
 use crate::error::{CoreError, Result};
-use crate::greedy::{greedy_select_opts, Selection, TieBreak};
+use crate::greedy::{Selection, TieBreak};
 use crate::group::{GroupKind, GroupSet};
 use crate::ids::{GroupId, PropertyId, UserId};
 use crate::instance::DiversificationInstance;
@@ -237,7 +238,15 @@ pub fn custom_select_weighted<T: ScoreValue>(
         })
         .collect();
     let inst = DiversificationInstance::new(groups, weights, covs.to_vec());
-    let selection = greedy_select_opts(&inst, budget, Some(&eligible), TieBreak::FirstUser);
+    let csr = CsrGraph::from_group_set(groups);
+    let strategy = Strategy::Eager {
+        tie_break: TieBreak::FirstUser,
+    };
+    let spec = SelectSpec {
+        eligible: Some(&eligible),
+        ..SelectSpec::new(budget, strategy)
+    };
+    let selection = select(&inst, &csr, &spec).expect("an eager run always completes");
 
     let feedback_group_coverage = if feedback.priority.is_empty() {
         1.0

@@ -28,6 +28,7 @@
 use crate::greedy::Selection;
 use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
+use crate::rng::{splitmix64, unit_float};
 use crate::score::ScoreValue;
 
 use super::constrained::QuotaSet;
@@ -45,22 +46,6 @@ pub struct AnnealSchedule {
     pub t0: f64,
     /// Geometric cooling factor per step, in `(0, 1]`.
     pub cooling: f64,
-}
-
-/// Sebastiano Vigna's `splitmix64`: one 64-bit state word, full-period,
-/// and trivially stable across platforms — the properties a replayable
-/// anneal stream needs.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `[0, 1)` from the top 53 bits.
-fn unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Replays a slate in slot order through the exact commit arithmetic of
@@ -204,7 +189,7 @@ pub fn anneal_refine<W: ScoreValue>(
         current[slot] = candidate;
         let proposed = replay_score(inst, csr, &mut cov_scratch, &current);
         let delta = proposed.as_f64() - cur_score.as_f64();
-        let accept = delta >= 0.0 || (t > 0.0 && unit(&mut rng) < (delta / t).exp());
+        let accept = delta >= 0.0 || (t > 0.0 && unit_float(&mut rng) < (delta / t).exp());
         if !accept {
             current[slot] = out;
             continue;
@@ -240,7 +225,8 @@ mod tests {
     use crate::group::GroupSet;
     use crate::weights::{CovScheme, WeightScheme};
 
-    use super::super::constrained::{constrained_lazy_select, Quota, QuotaBound};
+    use super::super::constrained::{Quota, QuotaBound};
+    use super::super::constrained_lazy_select;
 
     fn groups_from(users: usize, lists: &[&[u32]]) -> GroupSet {
         let memberships: Vec<Vec<UserId>> = lists
@@ -257,15 +243,6 @@ mod tests {
             t0: 0.8,
             cooling: 0.99,
         }
-    }
-
-    #[test]
-    fn splitmix64_matches_reference_vectors() {
-        // Reference outputs for seed 1234567 (Vigna's test vectors).
-        let mut s = 1234567u64;
-        assert_eq!(splitmix64(&mut s), 6457827717110365317);
-        assert_eq!(splitmix64(&mut s), 3203168211198807973);
-        assert_eq!(splitmix64(&mut s), 9817491932198370423);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Quota-constrained CELF: hard per-group floors and ceilings on top of
-//! the lazy greedy selection.
+//! Quota constraints: hard per-group floors and ceilings on top of the
+//! lazy greedy selection.
 //!
 //! A [`QuotaSet`] attaches a `[min, max]` occupancy window to a small
 //! number of groups, each bound expressed as an absolute [count] or as a
-//! [ratio] of the selection budget. The constrained selector
-//! ([`constrained_lazy_select`]) runs the same CELF loop as
-//! [`super::lazy`] but filters every would-be commit through a
+//! [ratio] of the selection budget. The CELF loop in [`super::lazy`]
+//! consults a [`QuotaTracker`] before every commit to keep a
 //! *feasibility invariant*:
 //!
 //! > After every committed prefix, some completion within the remaining
@@ -15,9 +14,8 @@
 //! (occupancy never decreases); candidates that would merely strand a
 //! floor are deferred for the round and re-enter the heap — stale, so
 //! they are re-evaluated before any later commit — after the next
-//! commit. With an empty `QuotaSet` every candidate is admissible and
-//! the loop is **bit-identical** to [`super::lazy_select_csr`]
-//! (same pops, same tie-breaks, same commits).
+//! commit. With an empty `QuotaSet` the loop runs without the tracker
+//! and is **bit-identical** to [`super::lazy_select_csr`].
 //!
 //! Feasibility is decided *exactly*. Users are collapsed into
 //! membership signatures over the quota'd groups (at most
@@ -31,16 +29,10 @@
 //! [count]: QuotaBound::Count
 //! [ratio]: QuotaBound::Ratio
 
-use std::collections::{BinaryHeap, HashMap};
-
-use crate::greedy::Selection;
-use crate::ids::UserId;
-use crate::instance::DiversificationInstance;
-use crate::score::ScoreValue;
+use std::collections::HashMap;
 
 use super::anneal::AnnealSchedule;
 use super::csr::CsrGraph;
-use super::lazy::HeapEntry;
 
 /// Most groups a single [`QuotaSet`] may constrain. The feasibility
 /// oracle enumerates membership signatures over the quota'd groups, so
@@ -448,7 +440,7 @@ impl Oracle {
                 cap = cap.min(headroom[i].saturating_sub(adds[i]));
             }
         }
-        cap = cap.min(useful.max(0));
+        cap = cap.min(useful);
         let mut ok = false;
         for c in 0..=cap {
             let mut next_needs = needs.to_vec();
@@ -469,12 +461,12 @@ impl Oracle {
     }
 }
 
-/// Shared quota bookkeeping for the constrained selector and refiner.
+/// Quota bookkeeping for the CELF loop's commit hook.
 pub(super) struct QuotaTracker {
-    pub(super) mins: Vec<u32>,
-    pub(super) maxs: Vec<u32>,
+    mins: Vec<u32>,
+    maxs: Vec<u32>,
     /// Current occupancy per quota index.
-    pub(super) occupancy: Vec<u32>,
+    occupancy: Vec<u32>,
     /// Remaining (unselected) users per signature.
     avail: Vec<u32>,
     /// Cached signature per user.
@@ -520,7 +512,7 @@ impl QuotaTracker {
 
     /// Whether adding one user with signature `sig` would overshoot a
     /// ceiling. Permanent: occupancy never decreases during selection.
-    fn breaches_ceiling(&self, sig: u16) -> bool {
+    pub(super) fn breaches_ceiling(&self, sig: u16) -> bool {
         (0..self.q()).any(|i| sig & (1 << i) != 0 && self.occupancy[i] >= self.maxs[i])
     }
 
@@ -540,7 +532,7 @@ impl QuotaTracker {
 
     /// Exact check: can the *current* state still complete to a
     /// feasible selection with `budget_left` more picks?
-    fn completable(&self, budget_left: usize) -> bool {
+    pub(super) fn completable(&self, budget_left: usize) -> bool {
         let needs = self.needs();
         if needs.iter().all(|&n| n == 0) {
             return true;
@@ -554,7 +546,7 @@ impl QuotaTracker {
 
     /// Exact admissibility of committing one user with signature `sig`
     /// next, given `budget_left` picks remain (including this one).
-    fn admits(&mut self, sig: u16, budget_left: usize) -> bool {
+    pub(super) fn admits(&mut self, sig: u16, budget_left: usize) -> bool {
         if self.breaches_ceiling(sig) {
             return false;
         }
@@ -576,7 +568,7 @@ impl QuotaTracker {
     }
 
     /// Records a commit of one user with signature `sig`.
-    fn commit(&mut self, sig: u16) {
+    pub(super) fn commit(&mut self, sig: u16) {
         self.avail[sig as usize] -= 1;
         for i in 0..self.q() {
             if sig & (1 << i) != 0 {
@@ -586,140 +578,16 @@ impl QuotaTracker {
     }
 }
 
-/// Quota-constrained CELF over a prebuilt CSR graph.
-///
-/// Selects up to `b` users greedily by marginal gain, restricted to
-/// candidates whose commit keeps the selection completable to a
-/// feasible one (see the module docs). Returns [`Infeasible`] — before
-/// selecting anything — iff no subset of at most `b` users satisfies
-/// every quota window. With an empty `quotas` the result is
-/// bit-identical to [`super::lazy_select_csr`].
-///
-/// `quotas` must have been resolved against the same budget `b`.
-pub fn constrained_lazy_select<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    quotas: &QuotaSet,
-) -> Result<Selection<W>, Infeasible> {
-    debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
-    debug_assert_eq!(csr.group_count(), inst.groups().len(), "csr/instance groups");
-    debug_assert_eq!(quotas.budget(), b, "quotas resolved against a different budget");
-    let n = csr.user_count();
-    let mut tracker = QuotaTracker::new(quotas, csr);
-    if !tracker.completable(b) {
-        return Err(diagnose(quotas, csr, b));
-    }
-
-    let weights = inst.weights();
-    let mut cov_rem: Vec<u32> = inst.covs().to_vec();
-    let fresh_gain = |u: u32, cov_rem: &[u32]| -> W {
-        let mut gain = W::zero();
-        for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
-            if cov_rem[gi] > 0 && !weights[gi].is_zero() {
-                gain.add_assign(&weights[gi]);
-            }
-        }
-        gain
-    };
-
-    let mut heap: BinaryHeap<HeapEntry<W>> = (0..n as u32)
-        .map(|user| HeapEntry {
-            gain: fresh_gain(user, &cov_rem),
-            user,
-            round: 0,
-        })
-        .collect();
-
-    let mut users = Vec::with_capacity(b.min(n));
-    let mut gains = Vec::with_capacity(b.min(n));
-    let mut score = W::zero();
-    let mut covered_counts = vec![0u32; csr.group_count()];
-    let mut round = 0u32;
-    // Fresh argmaxes that cannot be committed *this* round without
-    // stranding a floor; they re-enter the heap (stale) after the next
-    // commit changes the residual problem.
-    let mut deferred: Vec<HeapEntry<W>> = Vec::new();
-    // Per-round admissibility, keyed by signature: every user sharing a
-    // signature has the same verdict.
-    let mut admissible: Vec<Option<bool>> = vec![None; 1 << tracker.q()];
-
-    while users.len() < b {
-        let Some(top) = heap.pop() else {
-            // Every remaining candidate is deferred or dropped; the
-            // feasibility invariant guarantees all floors are met.
-            break;
-        };
-        if top.round == round {
-            let budget_left = b - users.len();
-            let ok = if tracker.q() == 0 {
-                true
-            } else {
-                let sig = tracker.sig_of(top.user);
-                *admissible[sig as usize]
-                    .get_or_insert_with(|| tracker.admits(sig, budget_left))
-            };
-            if !ok {
-                let sig = tracker.sig_of(top.user);
-                if tracker.breaches_ceiling(sig) {
-                    // Ceilings only tighten: this candidate is dead for
-                    // every later round too. Drop it.
-                } else {
-                    deferred.push(top);
-                }
-                continue;
-            }
-            // Fresh admissible top: the exact argmax over candidates
-            // that keep the prefix completable.
-            score.add_assign(&top.gain);
-            gains.push(top.gain);
-            users.push(UserId(top.user));
-            for &g in csr.groups_of(top.user as usize) {
-                let gi = g as usize;
-                covered_counts[gi] += 1;
-                if cov_rem[gi] > 0 {
-                    cov_rem[gi] -= 1;
-                }
-            }
-            if tracker.q() > 0 {
-                tracker.commit(tracker.sig_of(top.user));
-                admissible.fill(None);
-            }
-            round += 1;
-            // Deferred entries carry their last-known gains — still
-            // valid upper bounds — and an old round tag, so each is
-            // refreshed before it can commit.
-            heap.extend(deferred.drain(..));
-            continue;
-        }
-        let gain = fresh_gain(top.user, &cov_rem);
-        heap.push(HeapEntry {
-            gain,
-            user: top.user,
-            round,
-        });
-    }
-
-    debug_assert!(
-        quotas.satisfied_by(&covered_counts),
-        "constrained selection violated its own quotas"
-    );
-    Ok(Selection::from_parts(users, gains, score, covered_counts))
-}
-
 /// Builds the [`Infeasible`] diagnosis: prefers naming a group whose
 /// floor individually exceeds its member count (the common case), and
 /// otherwise reports the combined failure.
-fn diagnose(quotas: &QuotaSet, csr: &CsrGraph, b: usize) -> Infeasible {
+pub(super) fn diagnose(quotas: &QuotaSet, csr: &CsrGraph, b: usize) -> Infeasible {
     for (g, min, _) in quotas.windows() {
         let members = csr.group_size(g as usize);
         if (min as usize) > members {
             return Infeasible {
                 group: Some(g),
-                reason: format!(
-                    "group {g} has {members} member(s) but a floor of {min}"
-                ),
+                reason: format!("group {g} has {members} member(s) but a floor of {min}"),
             };
         }
     }
@@ -733,7 +601,7 @@ fn diagnose(quotas: &QuotaSet, csr: &CsrGraph, b: usize) -> Infeasible {
 }
 
 /// Brute-force feasibility over all subsets of size ≤ `b` — the
-/// reference the property tests pin [`constrained_lazy_select`]'s
+/// reference the property tests pin [`super::constrained_lazy_select`]'s
 /// `Infeasible` verdict against. Exponential; test-sized instances
 /// only.
 pub fn feasible_by_brute_force(csr: &CsrGraph, b: usize, quotas: &QuotaSet) -> bool {
@@ -761,8 +629,11 @@ pub fn feasible_by_brute_force(csr: &CsrGraph, b: usize, quotas: &QuotaSet) -> b
 
 #[cfg(test)]
 mod tests {
+    use super::super::{constrained_lazy_select, lazy_select_csr};
     use super::*;
     use crate::group::GroupSet;
+    use crate::ids::UserId;
+    use crate::instance::DiversificationInstance;
     use crate::weights::{CovScheme, WeightScheme};
 
     fn groups_from(users: usize, lists: &[&[u32]]) -> GroupSet {
@@ -848,7 +719,7 @@ mod tests {
             4,
         );
         let csr = CsrGraph::from_group_set(&g);
-        let plain = super::super::lazy_select_csr(&inst, &csr, 4, None);
+        let plain = lazy_select_csr(&inst, &csr, 4, None);
         let constrained =
             constrained_lazy_select(&inst, &csr, 4, &QuotaSet::empty(4)).expect("feasible");
         assert_eq!(constrained, plain);

@@ -1,13 +1,14 @@
 //! Algorithm 1 (eager greedy) over CSR storage.
 //!
 //! Logic and edge order are identical to the historical nested-`Vec`
-//! implementation in [`crate::greedy`] (which now delegates here); only the
-//! adjacency representation changed, so selections — users, gains, score,
-//! covered counts — are bit-for-bit the same.
+//! implementation; only the adjacency representation changed, so
+//! selections — users, gains, score, covered counts — are bit-for-bit the
+//! same.
 
 use crate::greedy::{Selection, TieBreak};
 use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
+use crate::rng::splitmix64;
 use crate::score::ScoreValue;
 
 use super::csr::CsrGraph;
@@ -144,14 +145,4 @@ fn argmax_seeded<W: ScoreValue>(marg: &[W], available: &[bool], state: &mut u64)
         }
     }
     best
-}
-
-/// The splitmix64 PRNG step (public-domain constant stream); enough for tie
-/// shuffling without pulling a full RNG dependency into the core crate.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }

@@ -1,4 +1,6 @@
-//! Heap-based lazy greedy (CELF) over CSR storage.
+//! Heap-based lazy greedy (CELF) over CSR storage — the one loop behind
+//! every lazy run: plain, warm-started, deadline-bounded, and
+//! quota-constrained.
 //!
 //! A max-heap holds one entry per candidate, each carrying the marginal
 //! gain computed in some earlier round. Submodularity makes every stale
@@ -13,16 +15,14 @@
 //! eager algorithm's first-index argmax, so under exact `ScoreValue`
 //! arithmetic (integer-valued `f64` weights, `u64`, `EbsValue`,
 //! `LexPair` of these) the lazy selection is bit-identical to the eager
-//! one: same users, gains, score, and covered counts.
+//! one: same users, gains, score, and covered counts. Stale tops are
+//! refreshed one at a time (the classic CELF step).
 //!
-//! Stale tops are refreshed in *bursts*: up to [`super::par::refresh_burst_cap`]
-//! consecutive stale entries are popped together and re-evaluated through
-//! [`super::par::map_gains`], which chunks them across scoped threads when
-//! the `parallel` feature is on and the burst is large. With the feature
-//! off — or on a single-worker machine, where batching cannot pay for the
-//! extra refreshes — the cap is 1: the classic one-at-a-time CELF refresh.
-//! The burst size never affects the selected sequence (bounds only
-//! tighten), so every cap yields the same bit-identical result.
+//! Quotas hook in at the commit: a fresh top is committed only if the
+//! quota tracker admits it (see [`super::constrained`]). A top that
+//! would overshoot a ceiling is dropped for good; one that would merely
+//! strand a floor is deferred and re-enters the heap, stale, after the
+//! next commit. With no quotas every fresh top is admissible.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -32,17 +32,16 @@ use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
 
+use super::constrained::{diagnose, QuotaTracker};
 use super::csr::CsrGraph;
-use super::par;
+use super::{SelectError, SelectSpec};
 
 /// A (possibly stale) upper bound on one candidate's marginal gain.
-/// Shared with the quota-constrained variant (`super::constrained`) so
-/// both loops order ties identically.
-pub(super) struct HeapEntry<W> {
-    pub(super) gain: W,
-    pub(super) user: u32,
+struct HeapEntry<W> {
+    gain: W,
+    user: u32,
     /// Selection round in which `gain` was computed.
-    pub(super) round: u32,
+    round: u32,
 }
 
 impl<W: ScoreValue> PartialEq for HeapEntry<W> {
@@ -67,163 +66,51 @@ impl<W: ScoreValue> Ord for HeapEntry<W> {
     }
 }
 
-/// The round tag given to warm-start seed entries: never equal to the
-/// current round (rounds count committed selections, bounded by the user
-/// count, which [`CsrGraph`] keeps below `u32::MAX`), so every seed is
+/// The round tag given to warm-start entries: never equal to the current
+/// round (rounds count committed selections, bounded by the user count,
+/// which [`CsrGraph`] keeps below `u32::MAX`), so every warm bound is
 /// refreshed to its exact marginal before it can be committed.
 const SEED_ROUND: u32 = u32::MAX;
 
-/// Sequential CELF: one-at-a-time refresh, single-threaded initial gains.
-pub(super) fn lazy_select<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    eligible: Option<&[bool]>,
-) -> Selection<W> {
-    lazy_core(
-        inst,
-        csr,
-        b,
-        eligible,
-        None,
-        1,
-        |candidates: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| {
-            candidates.iter().map(|&u| eval(u)).collect()
-        },
-        None,
-    )
-    .0
-}
-
-/// CELF with a warm-started heap: the round-0 candidate scan is replaced
-/// by caller-provided `(user, bound)` seeds — one per candidate — where
-/// each bound must be an upper bound on that user's round-0 marginal
-/// gain. Seeds enter the heap tagged [`SEED_ROUND`], so they are always
-/// stale: each is re-evaluated exactly before any commit, which keeps the
-/// selection bit-identical to the unseeded run for *any* valid bounds.
-/// See [`super::lazy_select_seeded_deadline`] for the public contract.
-pub(super) fn lazy_select_seeded_interruptible<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    seeds: &[(u32, W)],
-    should_stop: &mut dyn FnMut(usize) -> bool,
-) -> (Selection<W>, bool) {
-    lazy_core(
-        inst,
-        csr,
-        b,
-        None,
-        Some(seeds),
-        1,
-        |candidates: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| {
-            candidates.iter().map(|&u| eval(u)).collect()
-        },
-        Some(should_stop),
-    )
-}
-
-/// Sequential CELF with an interrupt hook polled between greedy rounds —
-/// the deadline mechanism of serving callers. See
-/// [`super::lazy_select_deadline`] for the contract.
-pub(super) fn lazy_select_interruptible<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    eligible: Option<&[bool]>,
-    should_stop: &mut dyn FnMut(usize) -> bool,
-) -> (Selection<W>, bool) {
-    lazy_core(
-        inst,
-        csr,
-        b,
-        eligible,
-        None,
-        1,
-        |candidates: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| {
-            candidates.iter().map(|&u| eval(u)).collect()
-        },
-        Some(should_stop),
-    )
-}
-
-/// Parallel-capable CELF: initial gains and large refresh bursts are
-/// chunked across scoped threads when the `parallel` feature is enabled;
-/// otherwise the evaluation strategy degrades to a sequential map and the
-/// refresh burst cap drops to 1. Selections are identical either way.
-pub(super) fn lazy_select_parallel<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    eligible: Option<&[bool]>,
-) -> Selection<W> {
-    lazy_core(
-        inst,
-        csr,
-        b,
-        eligible,
-        None,
-        par::refresh_burst_cap(),
-        |ids: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| par::map_gains(ids, eval),
-        None,
-    )
-    .0
-}
-
-/// The shared CELF loop, generic over the batch evaluation strategy.
+/// The CELF loop. `spec` has passed [`SelectSpec::check`], so warm
+/// bounds never meet an eligibility filter.
 ///
-/// `evaluate(candidates, eval)` must return `eval(u)` for every candidate
-/// in input order; the sequential and scoped-thread strategies only differ
-/// in scheduling.
-///
-/// `seeds`, when present, replaces the round-0 scan: the heap is built
-/// from the given `(user, upper bound)` pairs tagged [`SEED_ROUND`] (i.e.
-/// permanently stale), enumerating the full candidate set — mutually
-/// exclusive with `eligible`. Since commits only ever happen on fresh
-/// entries, and any stale pop is refreshed to its exact marginal first,
-/// valid upper bounds yield the same selection the scan would.
-///
-/// `interrupt`, when present, is polled with the number of committed
-/// selections before the initial scan and after every committed round; a
-/// `true` return stops the loop. The second component of the return value
-/// is `false` iff the loop was stopped early this way — the partial
-/// selection is still exactly the greedy prefix of the full run.
-#[allow(clippy::too_many_arguments)]
-fn lazy_core<W, E>(
+/// Warm bounds, when present, replace the round-0 scan: since commits
+/// only ever happen on fresh entries, and any stale pop is refreshed to
+/// its exact marginal first, valid upper bounds yield the same selection
+/// the scan would.
+pub(super) fn celf<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
-    b: usize,
-    eligible: Option<&[bool]>,
-    seeds: Option<&[(u32, W)]>,
-    burst_cap: usize,
-    evaluate: E,
-    mut interrupt: Option<&mut dyn FnMut(usize) -> bool>,
-) -> (Selection<W>, bool)
-where
-    W: ScoreValue,
-    E: Fn(&[u32], &(dyn Fn(u32) -> W + Sync)) -> Vec<W>,
-{
+    spec: &SelectSpec<'_, W>,
+) -> Result<Selection<W>, SelectError<W>> {
     let n = csr.user_count();
-    if let Some(e) = eligible {
-        assert_eq!(e.len(), n, "one eligibility flag per user");
-        assert!(
-            seeds.is_none(),
-            "seeds enumerate the candidate set themselves; combine them \
-             with an eligibility filter by omitting ineligible users"
-        );
-    }
-    if interrupt.as_mut().is_some_and(|stop| stop(0)) {
-        let sel = Selection::from_parts(
-            Vec::new(),
-            Vec::new(),
-            W::zero(),
-            vec![0u32; csr.group_count()],
-        );
-        return (sel, false);
+    let b = spec.budget;
+    // The quota hook; `None` when nothing is constrained, so an empty
+    // `QuotaSet` runs the plain loop.
+    let mut tracker = match spec.quotas {
+        Some(quotas) => {
+            debug_assert_eq!(
+                quotas.budget(),
+                b,
+                "quotas resolved against a different budget"
+            );
+            let tracker = (!quotas.is_empty()).then(|| QuotaTracker::new(quotas, csr));
+            if tracker.as_ref().is_some_and(|t| !t.completable(b)) {
+                return Err(SelectError::Infeasible(diagnose(quotas, csr, b)));
+            }
+            tracker
+        }
+        None => None,
+    };
+    let stop = |committed: usize| spec.stop.is_some_and(|stop| stop(committed));
+    let mut covered_counts = vec![0u32; csr.group_count()];
+    if stop(0) {
+        let empty = Selection::from_parts(Vec::new(), Vec::new(), W::zero(), covered_counts);
+        return Err(SelectError::Stopped(empty));
     }
     let weights = inst.weights();
     let mut cov_rem: Vec<u32> = inst.covs().to_vec();
-    let burst_cap = burst_cap.max(1);
 
     // The current marginal of `u` given the remaining coverages. Skipping
     // zero-weight groups mirrors the eager initialization ("remove links",
@@ -239,11 +126,10 @@ where
         gain
     };
 
-    // Round-0 bounds: either caller-provided seed bounds (warm start, no
-    // scan) or the exact initial marginals — the one full scan this
-    // algorithm performs, and the main parallelization target.
-    let mut heap: BinaryHeap<HeapEntry<W>> = match seeds {
-        Some(seeds) => seeds
+    // Round-0 bounds: either the warm bounds (no scan) or the exact
+    // initial marginals — the one full scan this algorithm performs.
+    let mut heap: BinaryHeap<HeapEntry<W>> = match spec.warm {
+        Some(warm) => warm
             .iter()
             .map(|(user, gain)| HeapEntry {
                 gain: gain.clone(),
@@ -251,55 +137,35 @@ where
                 round: SEED_ROUND,
             })
             .collect(),
-        None => {
-            let candidates: Vec<u32> = (0..n as u32)
-                .filter(|&u| eligible.is_none_or(|e| e[u as usize]))
-                .collect();
-            let initial = evaluate(&candidates, &|u| fresh_gain(u, &cov_rem));
-            candidates
-                .iter()
-                .zip(initial)
-                .map(|(&user, gain)| HeapEntry {
-                    gain,
-                    user,
-                    round: 0,
-                })
-                .collect()
-        }
+        None => (0..n as u32)
+            .filter(|&u| spec.eligible.is_none_or(|e| e[u as usize]))
+            .map(|user| HeapEntry {
+                gain: fresh_gain(user, &cov_rem),
+                user,
+                round: 0,
+            })
+            .collect(),
     };
 
     let mut users = Vec::with_capacity(b.min(n));
     let mut gains = Vec::with_capacity(b.min(n));
     let mut score = W::zero();
-    let mut covered_counts = vec![0u32; csr.group_count()];
     let mut round = 0u32;
-    let mut completed = true;
+    // Fresh argmaxes that cannot be committed *this* round without
+    // stranding a floor; they re-enter the heap (stale) after the next
+    // commit changes the residual problem.
+    let mut deferred: Vec<HeapEntry<W>> = Vec::new();
+    // Per-round admissibility, keyed by signature: every user sharing a
+    // signature has the same verdict.
+    let mut admissible: Vec<Option<bool>> = vec![None; tracker.as_ref().map_or(0, |t| 1 << t.q())];
 
     while users.len() < b {
+        // An empty heap with quotas means every remaining candidate is
+        // deferred or dropped; the feasibility invariant guarantees all
+        // floors are met.
         let Some(top) = heap.pop() else { break };
-        if top.round == round {
-            // Fresh top entry: by the heap invariant it is the true argmax.
-            score.add_assign(&top.gain);
-            gains.push(top.gain);
-            users.push(UserId(top.user));
-            for &g in csr.groups_of(top.user as usize) {
-                let gi = g as usize;
-                covered_counts[gi] += 1;
-                if cov_rem[gi] > 0 {
-                    cov_rem[gi] -= 1;
-                }
-            }
-            round += 1;
-            if users.len() < b && interrupt.as_mut().is_some_and(|stop| stop(users.len())) {
-                completed = false;
-                break;
-            }
-            continue;
-        }
-        // Stale upper bound: refresh and reinsert. The classic cap-1 CELF
-        // refresh stays allocation-free — it runs tens of thousands of
-        // times per selection.
-        if burst_cap == 1 {
+        if top.round != round {
+            // Stale upper bound: refresh and reinsert.
             let gain = fresh_gain(top.user, &cov_rem);
             heap.push(HeapEntry {
                 gain,
@@ -308,175 +174,46 @@ where
             });
             continue;
         }
-        // Gather a burst of consecutive stale tops, refresh them all
-        // through the batch evaluator, and reinsert. Refreshing extra
-        // entries is wasted work at worst — bounds only tighten, never
-        // loosen — so the invariant (and the selected sequence) is
-        // unaffected.
-        let mut batch = vec![top];
-        while batch.len() < burst_cap {
-            match heap.peek() {
-                Some(e) if e.round != round => {
-                    batch.push(heap.pop().expect("peeked entry exists"));
+        // Fresh top entry: by the heap invariant it is the true argmax
+        // (over candidates that keep the prefix completable).
+        if let Some(tracker) = tracker.as_mut() {
+            let sig = tracker.sig_of(top.user);
+            let budget_left = b - users.len();
+            if !*admissible[sig as usize].get_or_insert_with(|| tracker.admits(sig, budget_left)) {
+                // Ceilings only tighten: a breaching candidate is dead
+                // for every later round too, so it is dropped.
+                if !tracker.breaches_ceiling(sig) {
+                    deferred.push(top);
                 }
-                _ => break,
+                continue;
+            }
+            tracker.commit(sig);
+            admissible.fill(None);
+        }
+        score.add_assign(&top.gain);
+        gains.push(top.gain);
+        users.push(UserId(top.user));
+        for &g in csr.groups_of(top.user as usize) {
+            let gi = g as usize;
+            covered_counts[gi] += 1;
+            if cov_rem[gi] > 0 {
+                cov_rem[gi] -= 1;
             }
         }
-        let ids: Vec<u32> = batch.iter().map(|e| e.user).collect();
-        let refreshed = evaluate(&ids, &|u| fresh_gain(u, &cov_rem));
-        for (user, gain) in ids.into_iter().zip(refreshed) {
-            heap.push(HeapEntry { gain, user, round });
+        round += 1;
+        // Deferred entries carry their last-known gains — still valid
+        // upper bounds — and an old round tag, so each is refreshed
+        // before it can commit.
+        heap.extend(deferred.drain(..));
+        if users.len() < b && stop(users.len()) {
+            let prefix = Selection::from_parts(users, gains, score, covered_counts);
+            return Err(SelectError::Stopped(prefix));
         }
     }
 
-    (
-        Selection::from_parts(users, gains, score, covered_counts),
-        completed,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::group::GroupSet;
-    use crate::weights::{CovScheme, WeightScheme};
-
-    /// Any burst cap must select the identical sequence: extra refreshes
-    /// only tighten bounds.
-    #[test]
-    fn burst_cap_never_changes_the_selection() {
-        let mut state = 11u64;
-        let mut next = move |m: usize| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) % m as u64) as usize
-        };
-        let users = 40;
-        let memberships: Vec<Vec<UserId>> = (0..55)
-            .map(|_| {
-                (0..1 + next(9))
-                    .map(|_| UserId(next(users) as u32))
-                    .collect()
-            })
-            .collect();
-        let groups = GroupSet::from_memberships(users, memberships);
-        let inst = DiversificationInstance::from_schemes(
-            &groups,
-            WeightScheme::LinearBySize,
-            CovScheme::Proportional,
-            10,
-        );
-        let csr = CsrGraph::from_group_set(&groups);
-        let seq = |ids: &[u32], eval: &(dyn Fn(u32) -> f64 + Sync)| -> Vec<f64> {
-            ids.iter().map(|&u| eval(u)).collect()
-        };
-        let reference = lazy_core(&inst, &csr, 10, None, None, 1, seq, None).0;
-        for cap in [2usize, 3, 7, 64, 4096] {
-            let sel = lazy_core(&inst, &csr, 10, None, None, cap, seq, None).0;
-            assert_eq!(sel.users, reference.users, "cap {cap}");
-            assert_eq!(sel.gains, reference.gains, "cap {cap}");
-            assert_eq!(sel.score, reference.score, "cap {cap}");
-            assert_eq!(sel.covered_counts, reference.covered_counts, "cap {cap}");
-        }
-    }
-
-    /// Seeding with any valid upper bounds — exact initial gains, loose
-    /// bounds, or a mix — must reproduce the unseeded selection exactly.
-    #[test]
-    fn seeded_heap_is_bit_identical_for_any_valid_bounds() {
-        let mut state = 99u64;
-        let mut next = move |m: usize| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) % m as u64) as usize
-        };
-        let users = 35;
-        let memberships: Vec<Vec<UserId>> = (0..50)
-            .map(|_| {
-                let mut m: Vec<UserId> = (0..1 + next(8))
-                    .map(|_| UserId(next(users) as u32))
-                    .collect();
-                m.sort();
-                m.dedup();
-                m
-            })
-            .collect();
-        let groups = GroupSet::from_memberships(users, memberships);
-        let csr = CsrGraph::from_group_set(&groups);
-        for (w, c) in [
-            (WeightScheme::LinearBySize, CovScheme::Proportional),
-            (WeightScheme::Identical, CovScheme::Single),
-        ] {
-            let inst = DiversificationInstance::from_schemes(&groups, w, c, 9);
-            let reference = lazy_select(&inst, &csr, 9, None);
-            // Exact initial gains as seeds.
-            let exact: Vec<(u32, f64)> = (0..users as u32)
-                .map(|u| {
-                    let gain: f64 = csr
-                        .groups_of(u as usize)
-                        .iter()
-                        .map(|&g| inst.weights()[g as usize])
-                        .sum();
-                    (u, gain)
-                })
-                .collect();
-            // Loosened bounds: per-user slack never changes the result.
-            let loose: Vec<(u32, f64)> = exact
-                .iter()
-                .map(|&(u, g)| (u, g + (u % 7) as f64))
-                .collect();
-            for seeds in [&exact, &loose] {
-                let (sel, completed) =
-                    lazy_select_seeded_interruptible(&inst, &csr, 9, seeds, &mut |_| false);
-                assert!(completed);
-                assert_eq!(sel.users, reference.users, "{w:?}/{c:?}");
-                assert_eq!(sel.gains, reference.gains, "{w:?}/{c:?}");
-                assert_eq!(sel.score, reference.score, "{w:?}/{c:?}");
-                assert_eq!(sel.covered_counts, reference.covered_counts, "{w:?}/{c:?}");
-            }
-            // Seeded + interrupt still yields the exact greedy prefix.
-            let (partial, completed) =
-                lazy_select_seeded_interruptible(&inst, &csr, 9, &exact, &mut |k| k >= 3);
-            assert!(!completed);
-            assert_eq!(partial.users, reference.users[..3]);
-        }
-    }
-
-    /// Interrupting after `k` committed rounds must yield exactly the
-    /// uninterrupted selection's length-`k` greedy prefix.
-    #[test]
-    fn interrupt_yields_exact_greedy_prefix() {
-        let users = 25;
-        let memberships: Vec<Vec<UserId>> = (0..30)
-            .map(|g| {
-                (0..users)
-                    .filter(|u| (u * 7 + g * 3) % 5 == 0)
-                    .map(|u| UserId(u as u32))
-                    .collect()
-            })
-            .collect();
-        let groups = GroupSet::from_memberships(users, memberships);
-        let inst = DiversificationInstance::from_schemes(
-            &groups,
-            WeightScheme::LinearBySize,
-            CovScheme::Single,
-            8,
-        );
-        let csr = CsrGraph::from_group_set(&groups);
-        let full = lazy_select(&inst, &csr, 8, None);
-        for k in 0..full.users.len() {
-            let (partial, completed) =
-                lazy_select_interruptible(&inst, &csr, 8, None, &mut |done| done >= k);
-            assert!(!completed, "stop at {k} must report incompletion");
-            assert_eq!(partial.users, full.users[..k], "prefix at {k}");
-            assert_eq!(partial.gains, full.gains[..k], "gains at {k}");
-        }
-        let (all, completed) = lazy_select_interruptible(&inst, &csr, 8, None, &mut |_| false);
-        assert!(completed);
-        assert_eq!(all.users, full.users);
-        assert_eq!(all.score, full.score);
-        assert_eq!(all.covered_counts, full.covered_counts);
-    }
+    debug_assert!(
+        spec.quotas.is_none_or(|q| q.satisfied_by(&covered_counts)),
+        "constrained selection violated its own quotas"
+    );
+    Ok(Selection::from_parts(users, gains, score, covered_counts))
 }

@@ -1,21 +1,21 @@
-//! The high-throughput selection engine: CSR group storage, heap-based
-//! lazy greedy, and (optionally) multi-threaded marginal evaluation.
+//! The selection engine: one entry point, [`select`], over CSR group
+//! storage.
 //!
-//! The historical entry points — [`crate::greedy::greedy_select`],
-//! [`crate::lazy_greedy::lazy_greedy_select`],
-//! [`crate::stochastic_greedy::stochastic_greedy_select`] — remain the
-//! stable API and now delegate here; their results are unchanged. This
-//! module additionally exposes the pieces for callers that select
-//! repeatedly from the same group set:
+//! A [`SelectSpec`] names everything one run needs besides the instance
+//! and its [`CsrGraph`]: the budget, the [`Strategy`] (Algorithm 1's eager
+//! greedy, CELF lazy greedy, or stochastic sampling), an eligibility
+//! filter, quota windows with an optional anneal schedule, warm-start
+//! bounds, and a stop hook. Combinations no strategy supports are refused
+//! in one place, [`SelectSpec::check`].
 //!
-//! * [`CsrGraph`] — the flat bipartite user ↔ group adjacency, built once
-//!   from a [`GroupSet`] in `O(|V| + |E|)` and shared across runs;
-//! * [`SelectionEngine`] — couples an instance with its CSR graph and runs
-//!   any [`EngineVariant`];
-//! * the `parallel` cargo feature (default **off**, zero new dependencies)
-//!   — chunks marginal evaluations across `std::thread::scope` workers for
-//!   the [`EngineVariant::LazyHeapParallel`] paths; with the feature off
-//!   those paths fall back to the sequential implementation.
+//! Every lazy run — plain, warm-started, deadline-bounded, or
+//! quota-constrained — goes through the same CELF loop; with no quotas
+//! it is bit-identical to the eager algorithm under the `FirstUser`
+//! tie-break and exact score arithmetic.
+//!
+//! [`CsrGraph`] is the flat bipartite user ↔ group adjacency, built once
+//! from a [`GroupSet`](crate::group::GroupSet) in `O(|V| + |E|)`; serving
+//! layers keep one per snapshot and select from it across many requests.
 //!
 //! Complexity: eager greedy is `O(|E| + B·n + Σ_{covered G} |G|)`; the
 //! lazy heap replaces the `B·n` argmax scans and the member-side updates
@@ -27,13 +27,12 @@ pub mod constrained;
 pub mod csr;
 mod eager;
 mod lazy;
-mod par;
 mod stochastic;
 
-pub use anneal::{anneal_refine, splitmix64, AnnealSchedule};
+pub use anneal::{anneal_refine, AnnealSchedule};
 pub use constrained::{
-    constrained_lazy_select, constraint_fingerprint, feasible_by_brute_force, Infeasible, Quota,
-    QuotaBound, QuotaError, QuotaSet,
+    constraint_fingerprint, feasible_by_brute_force, Infeasible, Quota, QuotaBound, QuotaError,
+    QuotaSet,
 };
 pub use csr::CsrGraph;
 
@@ -41,229 +40,246 @@ use crate::greedy::{Selection, TieBreak};
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
 
-/// Which selection algorithm the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineVariant {
+/// How each greedy round picks its user.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Strategy {
     /// Algorithm 1 with decremental marginal maintenance (the paper's
-    /// eager update scheme).
-    Eager,
-    /// CELF lazy greedy over a max-heap of stale upper bounds; selections
-    /// are bit-identical to [`EngineVariant::Eager`] under the `FirstUser`
-    /// tie-break and exact score arithmetic.
-    LazyHeap,
-    /// [`EngineVariant::LazyHeap`] with initial gains and large refresh
-    /// bursts chunked across scoped threads (`parallel` feature; sequential
-    /// fallback when the feature is off or the pool is small).
-    LazyHeapParallel,
+    /// eager update scheme), breaking argmax ties by `tie_break`.
+    Eager {
+        /// Tie-break among users sharing the maximal marginal.
+        tie_break: TieBreak,
+    },
+    /// CELF lazy greedy over a max-heap of stale upper bounds. Ties go to
+    /// the smaller user id, so selections are bit-identical to
+    /// `Eager { tie_break: FirstUser }`.
+    Lazy,
+    /// Stochastic greedy (Mirzasoleiman et al., AAAI 2015): each round
+    /// evaluates a seeded sample of `⌈(n/B)·ln(1/ε)⌉` candidates, for a
+    /// `(1 − 1/e − ε)` guarantee in expectation. `epsilon = 0` scans all.
+    Stochastic {
+        /// Accuracy parameter in `[0, 1)`.
+        epsilon: f64,
+        /// Seed of the sampling stream.
+        seed: u64,
+    },
 }
 
-impl EngineVariant {
-    /// Every variant, for benchmark sweeps.
-    pub const ALL: [EngineVariant; 3] = [
-        EngineVariant::Eager,
-        EngineVariant::LazyHeap,
-        EngineVariant::LazyHeapParallel,
-    ];
+/// Everything one selection run needs besides the instance and its CSR
+/// graph. Build with [`SelectSpec::new`] and struct-update syntax:
+///
+/// ```
+/// # use podium_core::engine::{SelectSpec, Strategy};
+/// let eligible = [true, false, true];
+/// let spec: SelectSpec<'_, f64> = SelectSpec {
+///     eligible: Some(&eligible),
+///     ..SelectSpec::new(2, Strategy::Lazy)
+/// };
+/// assert!(spec.check().is_ok());
+/// ```
+pub struct SelectSpec<'a, W> {
+    /// Selects at most this many users.
+    pub budget: usize,
+    /// The greedy variant.
+    pub strategy: Strategy,
+    /// Restricts the candidate pool (the customization refinement `𝒰'`
+    /// of §6); one flag per user.
+    pub eligible: Option<&'a [bool]>,
+    /// Per-group occupancy windows, resolved against `budget`. `Lazy`
+    /// only; an empty set runs the plain loop.
+    pub quotas: Option<&'a QuotaSet>,
+    /// Refines the constrained greedy slate by seeded annealing. Needs
+    /// `quotas`.
+    pub anneal: Option<&'a AnnealSchedule>,
+    /// Warm-start heap for incremental serving: one `(user, bound)` pair
+    /// per candidate, each bound an *upper bound* on that user's round-0
+    /// marginal gain. Replaces the `O(|E|)` round-0 scan; for any valid
+    /// bounds the selection is bit-identical to the cold run. `Lazy` only,
+    /// and it enumerates the candidates itself, so no `eligible`.
+    pub warm: Option<&'a [(u32, W)]>,
+    /// Deadline hook, polled with the number of committed users before
+    /// the round-0 scan and after every committed round; `true` stops the
+    /// run with [`SelectError::Stopped`]. `Lazy` only.
+    pub stop: Option<&'a dyn Fn(usize) -> bool>,
+}
 
-    /// A stable snake_case label for reports and benchmark ids.
-    pub fn label(self) -> &'static str {
+impl<'a, W> SelectSpec<'a, W> {
+    /// A spec with only the budget and strategy set.
+    pub fn new(budget: usize, strategy: Strategy) -> Self {
+        SelectSpec {
+            budget,
+            strategy,
+            eligible: None,
+            quotas: None,
+            anneal: None,
+            warm: None,
+            stop: None,
+        }
+    }
+
+    /// Refuses the combinations no strategy supports. [`select`] calls
+    /// this first; it is the one place they are decided.
+    pub fn check(&self) -> Result<(), SpecError> {
+        if self.strategy != Strategy::Lazy {
+            for (set, what) in [
+                (self.quotas.is_some(), "quotas"),
+                (self.warm.is_some(), "warm bounds"),
+                (self.stop.is_some(), "a stop hook"),
+            ] {
+                if set {
+                    return Err(SpecError::LazyOnly(what));
+                }
+            }
+        }
+        if self.eligible.is_some() {
+            for (set, what) in [
+                (self.warm.is_some(), "warm bounds"),
+                (self.quotas.is_some(), "quotas"),
+                (
+                    matches!(self.strategy, Strategy::Stochastic { .. }),
+                    "stochastic sampling",
+                ),
+            ] {
+                if set {
+                    return Err(SpecError::EligibilityWith(what));
+                }
+            }
+        }
+        if self.anneal.is_some() && self.quotas.is_none() {
+            return Err(SpecError::AnnealWithoutQuotas);
+        }
+        Ok(())
+    }
+}
+
+/// A [`SelectSpec`] combination no strategy supports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecError {
+    /// The named setting needs [`Strategy::Lazy`].
+    LazyOnly(&'static str),
+    /// An eligibility filter combined with the named setting.
+    EligibilityWith(&'static str),
+    /// An anneal schedule without quotas to anneal under.
+    AnnealWithoutQuotas,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineVariant::Eager => "eager",
-            EngineVariant::LazyHeap => "lazy_heap",
-            EngineVariant::LazyHeapParallel => "lazy_heap_parallel",
+            SpecError::LazyOnly(what) => write!(f, "{what} need the lazy strategy"),
+            SpecError::EligibilityWith(what) => {
+                write!(f, "an eligibility filter cannot be combined with {what}")
+            }
+            SpecError::AnnealWithoutQuotas => write!(f, "an anneal schedule needs quotas"),
         }
     }
 }
 
-/// A diversification instance coupled with the CSR form of its group graph.
-///
-/// Building the engine performs the one-time `O(|V| + |E|)` CSR
-/// construction; every selection after that walks flat arrays only.
-#[derive(Debug, Clone)]
-pub struct SelectionEngine<'i, W: ScoreValue> {
-    inst: &'i DiversificationInstance<'i, W>,
-    csr: CsrGraph,
+/// Why [`select`] returned no complete selection.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SelectError<W> {
+    /// The spec was refused by [`SelectSpec::check`].
+    Spec(SpecError),
+    /// No subset of at most `budget` users satisfies every quota window.
+    Infeasible(Infeasible),
+    /// The stop hook fired. Carries the users committed so far — exactly
+    /// the greedy prefix of the full run, which submodularity gives the
+    /// usual `(1 − 1/e)` guarantee for its own smaller budget.
+    Stopped(Selection<W>),
 }
 
-impl<'i, W: ScoreValue> SelectionEngine<'i, W> {
-    /// Builds the engine (and the CSR graph) for an instance.
-    ///
-    /// Under debug assertions the instance is structurally validated
-    /// ([`DiversificationInstance::validate`]) and the freshly built CSR
-    /// graph checks its own invariants — selector harnesses running with
-    /// `RUSTFLAGS="-C debug-assertions"` therefore vet every instance they
-    /// select from. Release builds skip both checks.
-    pub fn new(inst: &'i DiversificationInstance<'i, W>) -> Self {
-        debug_assert!(
-            inst.validate().is_ok(),
-            "refusing to build engine: {}",
-            inst.validate().unwrap_err()
-        );
-        let csr = CsrGraph::from_group_set(inst.groups());
-        Self { inst, csr }
-    }
-
-    /// The CSR graph, for callers that want raw adjacency access.
-    pub fn csr(&self) -> &CsrGraph {
-        &self.csr
-    }
-
-    /// The underlying instance.
-    pub fn instance(&self) -> &'i DiversificationInstance<'i, W> {
-        self.inst
-    }
-
-    /// Runs `variant` with budget `b` (no eligibility filter, `FirstUser`
-    /// ties).
-    pub fn select(&self, variant: EngineVariant, b: usize) -> Selection<W> {
-        match variant {
-            EngineVariant::Eager => self.eager(b, None, TieBreak::FirstUser),
-            EngineVariant::LazyHeap => self.lazy(b, None),
-            EngineVariant::LazyHeapParallel => self.lazy_parallel(b, None),
+impl<W> std::fmt::Display for SelectError<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SelectError::Spec(e) => write!(f, "invalid select spec: {e}"),
+            SelectError::Infeasible(e) => write!(f, "{e}"),
+            SelectError::Stopped(prefix) => {
+                write!(f, "stopped after {} committed user(s)", prefix.users.len())
+            }
         }
     }
+}
 
-    /// Eager greedy (Algorithm 1) with an optional eligibility filter and
-    /// tie-break policy.
-    pub fn eager(&self, b: usize, eligible: Option<&[bool]>, tie_break: TieBreak) -> Selection<W> {
-        eager::eager_select(self.inst, &self.csr, b, eligible, tie_break)
+/// Runs one selection. `csr` must have been built from `inst.groups()`
+/// (checked under debug assertions, along with the instance's own
+/// structural validity).
+pub fn select<W: ScoreValue>(
+    inst: &DiversificationInstance<'_, W>,
+    csr: &CsrGraph,
+    spec: &SelectSpec<'_, W>,
+) -> Result<Selection<W>, SelectError<W>> {
+    spec.check().map_err(SelectError::Spec)?;
+    debug_assert!(
+        inst.validate().is_ok(),
+        "invalid instance: {}",
+        inst.validate().unwrap_err()
+    );
+    debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
+    debug_assert_eq!(
+        csr.group_count(),
+        inst.groups().len(),
+        "csr/instance groups"
+    );
+    if let Some(e) = spec.eligible {
+        assert_eq!(e.len(), csr.user_count(), "one eligibility flag per user");
     }
-
-    /// Sequential CELF lazy greedy. `FirstUser` tie-break only — for
-    /// `Seeded` ties use [`SelectionEngine::eager`], whose reservoir
-    /// sampling needs the full candidate scan.
-    pub fn lazy(&self, b: usize, eligible: Option<&[bool]>) -> Selection<W> {
-        lazy::lazy_select(self.inst, &self.csr, b, eligible)
-    }
-
-    /// CELF lazy greedy with multi-threaded marginal evaluation (`parallel`
-    /// feature; sequential fallback otherwise). Same selection as
-    /// [`SelectionEngine::lazy`].
-    pub fn lazy_parallel(&self, b: usize, eligible: Option<&[bool]>) -> Selection<W> {
-        lazy::lazy_select_parallel(self.inst, &self.csr, b, eligible)
-    }
-
-    /// Stochastic greedy (see [`crate::stochastic_greedy`]).
-    pub fn stochastic(&self, b: usize, epsilon: f64, seed: u64) -> Selection<W> {
-        stochastic::stochastic_select(self.inst, &self.csr, b, epsilon, seed)
+    let b = spec.budget;
+    match spec.strategy {
+        Strategy::Eager { tie_break } => {
+            Ok(eager::eager_select(inst, csr, b, spec.eligible, tie_break))
+        }
+        Strategy::Stochastic { epsilon, seed } => {
+            Ok(stochastic::stochastic_select(inst, csr, b, epsilon, seed))
+        }
+        Strategy::Lazy => {
+            let greedy = lazy::celf(inst, csr, spec)?;
+            Ok(match (spec.quotas, spec.anneal) {
+                (Some(quotas), Some(schedule)) => {
+                    anneal_refine(inst, csr, quotas, &greedy, schedule)
+                }
+                _ => greedy,
+            })
+        }
     }
 }
 
-/// Sequential CELF lazy greedy against a caller-provided, prebuilt CSR
-/// graph — the entry point for serving layers that keep one [`CsrGraph`]
-/// per repository snapshot and select from it across many requests without
-/// paying the `O(|V| + |E|)` rebuild that [`SelectionEngine::new`] performs.
-///
-/// `csr` must have been built from `inst.groups()` (or an equivalent
-/// member-list ordering); this is checked under debug assertions.
+/// CELF lazy greedy against a prebuilt CSR graph.
 pub fn lazy_select_csr<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,
     eligible: Option<&[bool]>,
 ) -> Selection<W> {
-    debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
-    debug_assert_eq!(
-        csr.group_count(),
-        inst.groups().len(),
-        "csr/instance groups"
-    );
-    lazy::lazy_select(inst, csr, b, eligible)
+    let spec = SelectSpec {
+        eligible,
+        ..SelectSpec::new(b, Strategy::Lazy)
+    };
+    select(inst, csr, &spec).expect("an unconstrained, unhooked run always completes")
 }
 
-/// [`lazy_select_csr`] with a deadline hook: `should_stop(selected)` is
-/// polled before the initial candidate scan and after every committed
-/// greedy round, with the number of users selected so far. Returning
-/// `true` stops the run; the returned flag is `false` iff that happened.
-///
-/// An interrupted selection is still exactly the greedy *prefix* of the
-/// full run — submodularity gives it the usual `(1 − 1/e)` guarantee for
-/// its own (smaller) budget — so serving callers can either return the
-/// partial result marked as truncated or map it to a deadline error.
-pub fn lazy_select_deadline<W: ScoreValue>(
+/// Quota-constrained CELF: every committed prefix stays completable to a
+/// selection inside every quota window (see [`constrained`]). Returns
+/// [`Infeasible`] — before selecting anything — iff no subset of at most
+/// `b` users satisfies every window. With an empty `quotas` the result is
+/// bit-identical to [`lazy_select_csr`]. `quotas` must have been resolved
+/// against the same budget `b`.
+pub fn constrained_lazy_select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,
-    eligible: Option<&[bool]>,
-    should_stop: &mut dyn FnMut(usize) -> bool,
-) -> (Selection<W>, bool) {
-    debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
-    debug_assert_eq!(
-        csr.group_count(),
-        inst.groups().len(),
-        "csr/instance groups"
-    );
-    lazy::lazy_select_interruptible(inst, csr, b, eligible, should_stop)
-}
-
-/// [`lazy_select_deadline`] with a warm-started CELF heap for incremental
-/// serving: instead of the `O(|E|)` round-0 candidate scan, the heap is
-/// seeded from `seeds` — one `(user, bound)` pair per candidate, where
-/// each bound is an *upper bound* on that user's round-0 marginal gain
-/// (for the schemes shipped in [`crate::weights`], the round-0 gain is
-/// `Σ_{G ∋ u} w_G`, since every group starts with positive remaining
-/// coverage). Writers that maintain these bounds across epochs — exact
-/// re-computation for users whose memberships changed, monotone slack for
-/// the rest — make the first selection on a freshly published epoch skip
-/// the full scan.
-///
-/// Every seed enters the heap permanently stale, so it is re-evaluated to
-/// its exact marginal before it can be committed: for any valid bounds the
-/// selection is **bit-identical** to [`lazy_select_csr`] (same users,
-/// gains, score, and covered counts, under the `FirstUser` tie-break). A
-/// bound *below* the true round-0 gain voids that guarantee.
-pub fn lazy_select_seeded_deadline<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    seeds: &[(u32, W)],
-    should_stop: &mut dyn FnMut(usize) -> bool,
-) -> (Selection<W>, bool) {
-    debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
-    debug_assert_eq!(
-        csr.group_count(),
-        inst.groups().len(),
-        "csr/instance groups"
-    );
-    lazy::lazy_select_seeded_interruptible(inst, csr, b, seeds, should_stop)
-}
-
-/// Crate-internal one-shot helpers for the delegating legacy entry points
-/// (they build the CSR graph per call; the engine type amortizes it).
-pub(crate) fn eager_once<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    b: usize,
-    eligible: Option<&[bool]>,
-    tie_break: TieBreak,
-) -> Selection<W> {
-    debug_assert!(
-        inst.validate().is_ok(),
-        "invalid instance: {}",
-        inst.validate().unwrap_err()
-    );
-    let csr = CsrGraph::from_group_set(inst.groups());
-    eager::eager_select(inst, &csr, b, eligible, tie_break)
-}
-
-/// One-shot sequential lazy greedy (see [`eager_once`]).
-pub(crate) fn lazy_once<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    b: usize,
-    eligible: Option<&[bool]>,
-) -> Selection<W> {
-    let csr = CsrGraph::from_group_set(inst.groups());
-    lazy::lazy_select(inst, &csr, b, eligible)
-}
-
-/// One-shot stochastic greedy (see [`eager_once`]).
-pub(crate) fn stochastic_once<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    b: usize,
-    epsilon: f64,
-    seed: u64,
-) -> Selection<W> {
-    let csr = CsrGraph::from_group_set(inst.groups());
-    stochastic::stochastic_select(inst, &csr, b, epsilon, seed)
+    quotas: &QuotaSet,
+) -> Result<Selection<W>, Infeasible> {
+    let spec = SelectSpec {
+        quotas: Some(quotas),
+        ..SelectSpec::new(b, Strategy::Lazy)
+    };
+    // An unhooked lazy spec with quotas only ever fails as infeasible.
+    select(inst, csr, &spec).map_err(|e| match e {
+        SelectError::Infeasible(e) => e,
+        other => Infeasible {
+            group: None,
+            reason: other.to_string(),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -295,8 +311,19 @@ mod tests {
         GroupSet::from_memberships(users, memberships)
     }
 
+    const EAGER: Strategy = Strategy::Eager {
+        tie_break: TieBreak::FirstUser,
+    };
+
+    fn run<W: ScoreValue>(
+        inst: &DiversificationInstance<'_, W>,
+        spec: &SelectSpec<'_, W>,
+    ) -> Result<Selection<W>, SelectError<W>> {
+        select(inst, &CsrGraph::from_group_set(inst.groups()), spec)
+    }
+
     #[test]
-    fn all_variants_agree_exactly() {
+    fn eager_and_lazy_agree_exactly() {
         for seed in 0..12 {
             let g = random_groups(seed, 30, 45);
             let inst = DiversificationInstance::from_schemes(
@@ -305,23 +332,14 @@ mod tests {
                 CovScheme::Proportional,
                 6,
             );
-            let engine = SelectionEngine::new(&inst);
-            let eager = engine.select(EngineVariant::Eager, 6);
-            for variant in [EngineVariant::LazyHeap, EngineVariant::LazyHeapParallel] {
-                let sel = engine.select(variant, 6);
-                assert_eq!(sel.users, eager.users, "seed {seed} {variant:?}");
-                assert_eq!(sel.gains, eager.gains, "seed {seed} {variant:?}");
-                assert_eq!(sel.score, eager.score, "seed {seed} {variant:?}");
-                assert_eq!(
-                    sel.covered_counts, eager.covered_counts,
-                    "seed {seed} {variant:?}"
-                );
-            }
+            let eager = run(&inst, &SelectSpec::new(6, EAGER)).unwrap();
+            let lazy = run(&inst, &SelectSpec::new(6, Strategy::Lazy)).unwrap();
+            assert_eq!(lazy, eager, "seed {seed}");
         }
     }
 
     #[test]
-    fn engine_matches_legacy_entry_points() {
+    fn aliases_match_select() {
         let g = random_groups(5, 20, 30);
         let inst = DiversificationInstance::from_schemes(
             &g,
@@ -329,17 +347,18 @@ mod tests {
             CovScheme::Single,
             5,
         );
-        let engine = SelectionEngine::new(&inst);
-        let legacy = crate::greedy::greedy_select(&inst, 5);
-        assert_eq!(engine.select(EngineVariant::Eager, 5), legacy);
-        let legacy_lazy = crate::lazy_greedy::lazy_greedy_select(&inst, 5);
-        assert_eq!(engine.select(EngineVariant::LazyHeap, 5), legacy_lazy);
-        let legacy_stoch = crate::stochastic_greedy::stochastic_greedy_select(&inst, 5, 0.2, 9);
-        assert_eq!(engine.stochastic(5, 0.2, 9), legacy_stoch);
+        let csr = CsrGraph::from_group_set(&g);
+        let lazy = run(&inst, &SelectSpec::new(5, Strategy::Lazy)).unwrap();
+        assert_eq!(crate::greedy::greedy_select(&inst, 5), lazy);
+        assert_eq!(lazy_select_csr(&inst, &csr, 5, None), lazy);
+        assert_eq!(
+            constrained_lazy_select(&inst, &csr, 5, &QuotaSet::empty(5)),
+            Ok(lazy)
+        );
     }
 
     #[test]
-    fn eligibility_respected_by_every_variant() {
+    fn eligibility_respected_by_every_strategy() {
         let g = random_groups(2, 10, 15);
         let inst = DiversificationInstance::from_schemes(
             &g,
@@ -347,23 +366,22 @@ mod tests {
             CovScheme::Single,
             3,
         );
-        let engine = SelectionEngine::new(&inst);
         let mut eligible = vec![true; 10];
         eligible[0] = false;
         eligible[4] = false;
-        let eager = engine.eager(3, Some(&eligible), TieBreak::FirstUser);
-        let lazy = engine.lazy(3, Some(&eligible));
-        let par = engine.lazy_parallel(3, Some(&eligible));
-        assert_eq!(eager.users, lazy.users);
-        assert_eq!(eager.users, par.users);
-        for sel in [&eager, &lazy, &par] {
-            assert!(!sel.contains(UserId(0)));
-            assert!(!sel.contains(UserId(4)));
-        }
+        let filtered = |strategy| SelectSpec {
+            eligible: Some(&eligible),
+            ..SelectSpec::new(3, strategy)
+        };
+        let eager = run(&inst, &filtered(EAGER)).unwrap();
+        let lazy = run(&inst, &filtered(Strategy::Lazy)).unwrap();
+        assert_eq!(eager, lazy);
+        assert!(!lazy.contains(UserId(0)));
+        assert!(!lazy.contains(UserId(4)));
     }
 
     #[test]
-    fn csr_reuse_entry_point_matches_engine() {
+    fn stop_hook_yields_exact_greedy_prefix() {
         let g = random_groups(7, 25, 40);
         let inst = DiversificationInstance::from_schemes(
             &g,
@@ -371,22 +389,62 @@ mod tests {
             CovScheme::Single,
             6,
         );
-        let engine = SelectionEngine::new(&inst);
-        let via_engine = engine.lazy(6, None);
-        let csr = CsrGraph::from_group_set(&g);
-        let via_csr = lazy_select_csr(&inst, &csr, 6, None);
-        assert_eq!(via_csr, via_engine);
-        let (complete, finished) = lazy_select_deadline(&inst, &csr, 6, None, &mut |_| false);
-        assert!(finished);
-        assert_eq!(complete, via_engine);
-        let (truncated, finished) = lazy_select_deadline(&inst, &csr, 6, None, &mut |k| k >= 2);
-        assert!(!finished);
-        assert_eq!(truncated.users, via_engine.users[..2]);
+        let full = run(&inst, &SelectSpec::new(6, Strategy::Lazy)).unwrap();
+        let never = |_: usize| false;
+        let hooked = SelectSpec {
+            stop: Some(&never),
+            ..SelectSpec::new(6, Strategy::Lazy)
+        };
+        assert_eq!(run(&inst, &hooked), Ok(full.clone()));
+        for k in 0..full.users.len() {
+            let at_k = move |done: usize| done >= k;
+            let spec = SelectSpec {
+                stop: Some(&at_k),
+                ..SelectSpec::new(6, Strategy::Lazy)
+            };
+            let Err(SelectError::Stopped(prefix)) = run(&inst, &spec) else {
+                panic!("stop at {k} must report incompletion");
+            };
+            assert_eq!(prefix.users, full.users[..k], "prefix at {k}");
+            assert_eq!(prefix.gains, full.gains[..k], "gains at {k}");
+        }
     }
 
     #[test]
-    fn labels_are_stable() {
-        let labels: Vec<&str> = EngineVariant::ALL.iter().map(|v| v.label()).collect();
-        assert_eq!(labels, vec!["eager", "lazy_heap", "lazy_heap_parallel"]);
+    fn anneal_runs_after_the_constrained_greedy() {
+        let g = random_groups(3, 12, 20);
+        let inst = DiversificationInstance::from_schemes(
+            &g,
+            WeightScheme::LinearBySize,
+            CovScheme::Single,
+            4,
+        );
+        let csr = CsrGraph::from_group_set(&g);
+        let quotas = QuotaSet::build(
+            vec![Quota {
+                group: 0,
+                min: QuotaBound::Count(1),
+                max: None,
+            }],
+            g.len(),
+            4,
+        )
+        .expect("valid");
+        let schedule = AnnealSchedule {
+            seed: 3,
+            steps: 200,
+            t0: 0.5,
+            cooling: 0.99,
+        };
+        let greedy = constrained_lazy_select(&inst, &csr, 4, &quotas).expect("feasible");
+        let spec = SelectSpec {
+            quotas: Some(&quotas),
+            anneal: Some(&schedule),
+            ..SelectSpec::new(4, Strategy::Lazy)
+        };
+        assert_eq!(
+            select(&inst, &csr, &spec),
+            Ok(anneal_refine(&inst, &csr, &quotas, &greedy, &schedule))
+        );
     }
 }

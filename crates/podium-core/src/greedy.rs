@@ -15,8 +15,8 @@
 //! `O(B · max_G |G| · max_u |{G | u ∈ G}|)`.
 //!
 //! The traversal itself runs in [`crate::engine`] over compressed
-//! sparse-row (CSR) adjacency; this module keeps the stable public entry
-//! points and the [`Selection`]/[`TieBreak`] types.
+//! sparse-row (CSR) adjacency; this module keeps the paper-named alias
+//! [`greedy_select`] and the [`Selection`]/[`TieBreak`] types.
 
 //! ```
 //! use podium_core::prelude::*;
@@ -32,6 +32,7 @@
 //! assert_eq!(sel.score, 5.0);
 //! ```
 
+use crate::engine::{select, CsrGraph, SelectSpec, Strategy};
 use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
@@ -92,25 +93,21 @@ pub enum TieBreak {
     Seeded(u64),
 }
 
-/// Runs Algorithm 1: greedy selection of at most `b` users.
+/// Runs Algorithm 1: greedy selection of at most `b` users — the
+/// paper-named alias of [`crate::engine::select`] with the eager strategy
+/// (the CSR graph is built per call).
 pub fn greedy_select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     b: usize,
 ) -> Selection<W> {
-    greedy_select_opts(inst, b, None, TieBreak::FirstUser)
-}
-
-/// Runs Algorithm 1 with an eligibility filter and tie-break policy.
-///
-/// `eligible`, when given, restricts the candidate pool (used by the
-/// customization refinement `𝒰'` of §6); it must have one entry per user.
-pub fn greedy_select_opts<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    b: usize,
-    eligible: Option<&[bool]>,
-    tie_break: TieBreak,
-) -> Selection<W> {
-    crate::engine::eager_once(inst, b, eligible, tie_break)
+    let csr = CsrGraph::from_group_set(inst.groups());
+    let spec = SelectSpec::new(
+        b,
+        Strategy::Eager {
+            tie_break: TieBreak::FirstUser,
+        },
+    );
+    select(inst, &csr, &spec).expect("an eager run always completes")
 }
 
 #[cfg(test)]
@@ -119,6 +116,21 @@ mod tests {
     use crate::group::GroupSet;
     use crate::ids::GroupId;
     use crate::weights::{CovScheme, WeightScheme};
+
+    /// Eager greedy with an eligibility filter and tie-break policy.
+    fn eager(
+        inst: &DiversificationInstance<'_, f64>,
+        b: usize,
+        eligible: Option<&[bool]>,
+        tie_break: TieBreak,
+    ) -> Selection<f64> {
+        let csr = CsrGraph::from_group_set(inst.groups());
+        let spec = SelectSpec {
+            eligible,
+            ..SelectSpec::new(b, Strategy::Eager { tie_break })
+        };
+        select(inst, &csr, &spec).expect("an eager run always completes")
+    }
 
     /// The paper's Example 4.3 instance: Table 2 with LBS weights and Single
     /// coverage. Users: Alice(0) Bob(1) Carol(2) David(3) Eve(4).
@@ -270,7 +282,7 @@ mod tests {
         );
         // Exclude Alice: Eve must come first now.
         let eligible = vec![false, true, true, true, true];
-        let sel = greedy_select_opts(&inst, 2, Some(&eligible), TieBreak::FirstUser);
+        let sel = eager(&inst, 2, Some(&eligible), TieBreak::FirstUser);
         assert!(!sel.contains(UserId(0)));
         assert_eq!(sel.users[0], UserId(4));
     }
@@ -305,14 +317,14 @@ mod tests {
             CovScheme::Single,
             2,
         );
-        let a = greedy_select_opts(&inst, 2, None, TieBreak::Seeded(7));
-        let b = greedy_select_opts(&inst, 2, None, TieBreak::Seeded(7));
+        let a = eager(&inst, 2, None, TieBreak::Seeded(7));
+        let b = eager(&inst, 2, None, TieBreak::Seeded(7));
         assert_eq!(a.users, b.users, "same seed, same outcome");
         assert_eq!(a.score, 17.0, "ties only between equal-score optima here");
         // Some seed picks Eve first (Alice/Eve tie); scores must match anyway.
         let mut saw_eve_first = false;
         for seed in 0..32 {
-            let s = greedy_select_opts(&inst, 2, None, TieBreak::Seeded(seed));
+            let s = eager(&inst, 2, None, TieBreak::Seeded(seed));
             assert_eq!(s.score, 17.0);
             if s.users[0] == UserId(4) {
                 saw_eve_first = true;

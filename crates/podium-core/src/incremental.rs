@@ -262,7 +262,7 @@ impl IncrementalGroups {
     /// directly from the maintained slots — same group ordering as
     /// [`IncrementalGroups::snapshot`], without cloning the member lists
     /// into an intermediate [`GroupSet`]. Pair it with a snapshot taken at
-    /// the same time when building a [`crate::engine::SelectionEngine`].
+    /// the same time when calling [`crate::engine::select`].
     pub fn snapshot_csr(&self) -> CsrGraph {
         let mut out = CsrGraph::default();
         self.snapshot_csr_into(&mut out);
@@ -423,7 +423,7 @@ impl IncrementalGroups {
     /// positive remaining coverage, so the round-0 gain is the plain
     /// weight sum over the user's groups). Both are integers, hence exact
     /// in `f64`; writers use them to maintain warm-start seed bounds for
-    /// [`crate::engine::lazy_select_seeded_deadline`].
+    /// [`crate::engine::SelectSpec::warm`].
     pub fn seed_gains_of(&self, u: UserId) -> (f64, f64) {
         let mut degree = 0u32;
         let mut sizes = 0.0f64;

@@ -24,8 +24,11 @@
 //! 4. Choose weight ([`weights::WeightScheme`]) and coverage
 //!    ([`weights::CovScheme`]) functions and assemble a
 //!    [`instance::DiversificationInstance`].
-//! 5. Run [`greedy::greedy_select`] (or [`lazy_greedy::lazy_greedy_select`],
-//!    or the exhaustive [`exact::exact_select`] on tiny instances).
+//! 5. Run [`greedy::greedy_select`] — Algorithm 1 — or the engine's one
+//!    entry point [`engine::select`] with a [`engine::SelectSpec`] naming
+//!    the strategy (eager, CELF lazy, stochastic), eligibility, quotas,
+//!    warm-start bounds, or a deadline hook; on tiny instances the
+//!    exhaustive [`exact::exact_select`] gives the optimum.
 //! 6. Inspect the selection with [`explain`] and refine it with
 //!    [`customize`] feedback.
 //!
@@ -66,12 +69,11 @@ pub mod group;
 pub mod ids;
 pub mod incremental;
 pub mod instance;
-pub mod lazy_greedy;
 pub mod pipeline;
 pub mod profile;
 pub mod reduction;
+pub mod rng;
 pub mod score;
-pub mod stochastic_greedy;
 pub mod submodular;
 #[cfg(test)]
 pub(crate) mod testutil;
@@ -81,7 +83,7 @@ pub mod weights;
 pub mod prelude {
     pub use crate::bucket::{Bucket, BucketSet, BucketStrategy, BucketingConfig};
     pub use crate::customize::{custom_select, CustomSelection, Feedback};
-    pub use crate::engine::{CsrGraph, EngineVariant, SelectionEngine};
+    pub use crate::engine::{select, CsrGraph, SelectSpec};
     pub use crate::error::{CoreError, Result};
     pub use crate::exact::exact_select;
     pub use crate::explain::{explain_group, explain_subset_group, explain_user, SelectionReport};
@@ -89,10 +91,8 @@ pub mod prelude {
     pub use crate::group::{GroupExpr, GroupSet, SimpleGroup};
     pub use crate::ids::{BucketIdx, GroupId, PropertyId, UserId};
     pub use crate::instance::DiversificationInstance;
-    pub use crate::lazy_greedy::lazy_greedy_select;
     pub use crate::pipeline::{FittedPodium, Podium};
     pub use crate::profile::{Profile, UserRepository};
     pub use crate::score::{EbsValue, LexPair, ScoreValue};
-    pub use crate::stochastic_greedy::stochastic_greedy_select;
     pub use crate::weights::{CovScheme, WeightScheme};
 }

@@ -20,12 +20,12 @@
 
 use crate::bucket::{BucketingConfig, PropertyBuckets};
 use crate::customize::{custom_select, CustomSelection, Feedback};
+use crate::engine::{select, CsrGraph, SelectSpec, Strategy};
 use crate::error::{CoreError, Result};
 use crate::explain::SelectionReport;
-use crate::greedy::{greedy_select_opts, Selection, TieBreak};
+use crate::greedy::{Selection, TieBreak};
 use crate::group::GroupSet;
 use crate::instance::DiversificationInstance;
-use crate::lazy_greedy::lazy_greedy_select;
 use crate::profile::UserRepository;
 use crate::weights::{CovScheme, WeightScheme};
 
@@ -157,12 +157,7 @@ impl<'r> FittedPodium<'r> {
     /// "caller passed a nonsensical budget" should use
     /// [`FittedPodium::try_select`].
     pub fn select(&self, budget: usize) -> Selection<f64> {
-        let inst = self.instance(budget);
-        if self.config.lazy {
-            lazy_greedy_select(&inst, budget)
-        } else {
-            greedy_select_opts(&inst, budget, None, self.config.tie_break)
-        }
+        self.run(&self.instance(budget), budget)
     }
 
     /// Like [`FittedPodium::select`], but surfaces invalid requests instead
@@ -176,11 +171,22 @@ impl<'r> FittedPodium<'r> {
         }
         let inst = self.instance(budget);
         inst.validate()?;
-        Ok(if self.config.lazy {
-            lazy_greedy_select(&inst, budget)
+        Ok(self.run(&inst, budget))
+    }
+
+    /// The configured greedy: CELF when `lazy`, else eager with the
+    /// configured tie-break.
+    fn run(&self, inst: &DiversificationInstance<'_, f64>, budget: usize) -> Selection<f64> {
+        let strategy = if self.config.lazy {
+            Strategy::Lazy
         } else {
-            greedy_select_opts(&inst, budget, None, self.config.tie_break)
-        })
+            Strategy::Eager {
+                tie_break: self.config.tie_break,
+            }
+        };
+        let csr = CsrGraph::from_group_set(&self.groups);
+        select(inst, &csr, &SelectSpec::new(budget, strategy))
+            .expect("an unconstrained, unhooked run always completes")
     }
 
     /// Selects with customization feedback (CUSTOM-DIVERSITY, §6).

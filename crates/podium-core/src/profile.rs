@@ -335,6 +335,43 @@ impl UserRepository {
         }
     }
 
+    /// A copy of this repository whose property ids follow `reference`:
+    /// every label `reference` interns keeps `reference`'s id, and labels
+    /// only this repository knows are appended after them. Users, names,
+    /// and scores are unchanged. A repository reloaded from JSON interns
+    /// its labels in file order; this lets it reuse per-property state
+    /// indexed by the original's ids, such as its bucketing.
+    pub fn reindexed_like(&self, reference: &UserRepository) -> UserRepository {
+        let mut property_names = reference.property_names.clone();
+        let mut property_index = reference.property_index.clone();
+        let ids: Vec<PropertyId> = self
+            .property_names
+            .iter()
+            .map(|label| {
+                *property_index.entry(label.clone()).or_insert_with(|| {
+                    property_names.push(label.clone());
+                    PropertyId::from_index(property_names.len() - 1)
+                })
+            })
+            .collect();
+        let profiles = self
+            .profiles
+            .iter()
+            .map(|profile| {
+                let mut entries: Vec<(PropertyId, f64)> =
+                    profile.iter().map(|(p, s)| (ids[p.index()], s)).collect();
+                entries.sort_unstable_by_key(|&(p, _)| p);
+                Profile { entries }
+            })
+            .collect();
+        UserRepository {
+            property_names,
+            property_index,
+            user_names: self.user_names.clone(),
+            profiles,
+        }
+    }
+
     /// Returns a new repository restricted to the given users, preserving the
     /// property interning. Used by the customization refinement (§6) and by
     /// scalability experiments that subsample the population.
@@ -528,6 +565,27 @@ mod tests {
         for (u, p) in snapshot.iter() {
             assert_eq!(base.profile(u).unwrap(), p);
         }
+    }
+
+    #[test]
+    fn reindexed_like_keeps_reference_ids_and_appends_new_labels() {
+        let mut reference = UserRepository::new();
+        let b = reference.intern_property("b");
+        let a = reference.intern_property("a");
+        let mut loaded = UserRepository::new();
+        let u = loaded.add_user("u");
+        for (label, score) in [("a", 0.1), ("b", 0.2), ("c", 0.3)] {
+            let p = loaded.intern_property(label);
+            loaded.set_score(u, p, score).unwrap();
+        }
+        let out = loaded.reindexed_like(&reference);
+        assert_eq!(out.property_id("a"), Some(a));
+        assert_eq!(out.property_id("b"), Some(b));
+        assert_eq!(out.property_id("c"), Some(PropertyId(2)));
+        assert_eq!(out.user_name(UserId(0)).unwrap(), "u");
+        assert_eq!(out.score(UserId(0), a), Some(0.1));
+        assert_eq!(out.score(UserId(0), b), Some(0.2));
+        assert_eq!(out.score(UserId(0), PropertyId(2)), Some(0.3));
     }
 
     #[test]

@@ -23,11 +23,7 @@
 /// Implementations must form an ordered commutative monoid under addition,
 /// with subtraction defined whenever the result stays non-negative (the
 /// greedy algorithm only ever subtracts weights it previously added).
-///
-/// `Send + Sync` is required so the selection engine can evaluate marginal
-/// contributions across scoped threads (the `parallel` feature); score
-/// values are plain data, so every reasonable implementation satisfies it.
-pub trait ScoreValue: Clone + PartialOrd + std::fmt::Debug + Send + Sync {
+pub trait ScoreValue: Clone + PartialOrd + std::fmt::Debug {
     /// The additive identity.
     fn zero() -> Self;
     /// `self += other`.

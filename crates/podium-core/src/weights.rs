@@ -77,11 +77,7 @@ pub fn noisy_weights(base: &[f64], amplitude: f64, seed: u64) -> Vec<f64> {
     let mut state = seed ^ 0xA076_1D64_78BD_642F;
     base.iter()
         .map(|&w| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
+            let u = crate::rng::unit_float(&mut state);
             w * (1.0 - amplitude + 2.0 * amplitude * u)
         })
         .collect()

@@ -67,13 +67,7 @@ impl FaultInjector {
     }
 
     fn next_u64(&mut self) -> u64 {
-        // splitmix64: tiny, deterministic, and good enough for picking
-        // corruption sites.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        podium_core::rng::splitmix64(&mut self.state)
     }
 
     fn gen_range(&mut self, n: usize) -> usize {

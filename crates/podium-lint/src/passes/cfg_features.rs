@@ -114,7 +114,7 @@ name = "x"
 
 [features]
 default = []
-parallel = ["dep-a/parallel"]
+fast = ["dep-a/fast"]
 
 [dependencies]
 dep-a = { path = "../a", optional = true }
@@ -122,7 +122,7 @@ dep-b = { path = "../b" }
 "#;
         let fs = declared_features(manifest);
         assert!(fs.contains(&"default".to_owned()));
-        assert!(fs.contains(&"parallel".to_owned()));
+        assert!(fs.contains(&"fast".to_owned()));
         assert!(fs.contains(&"dep-a".to_owned()));
         assert!(!fs.contains(&"dep-b".to_owned()));
     }
@@ -130,14 +130,14 @@ dep-b = { path = "../b" }
     #[test]
     fn flags_undeclared_features_only() {
         let src = br#"
-#[cfg(feature = "parallel")]
-fn par() {}
+#[cfg(feature = "fast")]
+fn fast() {}
 #[cfg(all(unix, feature = "shiny"))]
 fn shiny() {}
-fn probe() { if cfg!(feature = "parallel") {} }
+fn probe() { if cfg!(feature = "fast") {} }
 "#;
         let scan = FileScan::new(src);
-        let declared = vec!["parallel".to_owned()];
+        let declared = vec!["fast".to_owned()];
         let vs = run(&scan, "f.rs", &declared, "Cargo.toml");
         assert_eq!(vs.len(), 1);
         assert!(vs[0].message.contains("\"shiny\""));

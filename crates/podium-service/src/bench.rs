@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use podium_core::bucket::BucketingConfig;
 use podium_core::profile::UserRepository;
+use podium_core::rng::{splitmix64, unit_float};
 use serde_json::Value;
 
 use crate::client::{ClientConfig, ClientError, ClientHealth, PodiumClient};
@@ -318,19 +319,6 @@ impl BenchReport {
         ];
         serde_json::to_string(&Value::Object(pairs)).expect("report serialization is infallible")
     }
-}
-
-/// splitmix64: deterministic, dependency-free stream for synthetic data.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit_float(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Builds the synthetic benchmark repository: `users` users, each with

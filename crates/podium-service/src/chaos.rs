@@ -45,6 +45,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use podium_core::rng::{splitmix64, unit_float};
+
 use crate::poison;
 
 /// How injected fault *timing* (stalls, idle ticks) is accounted.
@@ -194,18 +196,6 @@ impl std::fmt::Debug for ChaosProxy {
             .field("upstream", &self.shared.upstream)
             .finish()
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit_float(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 const READ_TICK: Duration = Duration::from_millis(50);

@@ -33,6 +33,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use podium_core::rng::unit_float;
 use serde_json::Value;
 
 use crate::protocol::{self, Request};
@@ -224,14 +225,6 @@ impl Breaker {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A single-connection resilient client. Not `Sync`; give each thread its
 /// own client (they can share an address and a seed base).
 pub struct PodiumClient {
@@ -385,7 +378,7 @@ impl PodiumClient {
             .saturating_mul(1u32 << (attempt - 1).min(16));
         let capped = exp.min(self.config.backoff_max);
         // Jitter uniformly in [0.5, 1.0] × capped.
-        let unit = (splitmix64(&mut self.rng) >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = unit_float(&mut self.rng);
         let delay = capped.mul_f64(0.5 + 0.5 * unit);
         let now = Instant::now();
         if now + delay >= deadline {
@@ -512,6 +505,7 @@ mod tests {
     use crate::tcp::{TcpServer, TcpServerConfig};
     use podium_core::bucket::BucketingConfig;
     use podium_core::profile::UserRepository;
+    use podium_core::rng::splitmix64;
     use std::sync::Arc;
 
     fn service() -> Arc<PodiumService> {

@@ -1,5 +1,6 @@
 //! Service-level errors and their stable wire codes.
 
+use podium_core::engine::SelectError;
 use podium_core::error::CoreError;
 
 /// Everything that can go wrong while serving a request. Each variant maps
@@ -103,6 +104,20 @@ impl std::error::Error for ServiceError {}
 impl From<CoreError> for ServiceError {
     fn from(e: CoreError) -> Self {
         ServiceError::Core(e)
+    }
+}
+
+impl<W> From<SelectError<W>> for ServiceError {
+    fn from(e: SelectError<W>) -> Self {
+        match e {
+            SelectError::Spec(e) => ServiceError::BadRequest(e.to_string()),
+            SelectError::Infeasible(e) => ServiceError::Infeasible {
+                group: e.group,
+                reason: e.reason,
+            },
+            // The stop hook carries the request deadline; the prefix is dropped.
+            SelectError::Stopped(_) => ServiceError::DeadlineExceeded,
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //! Deadlines are absolute [`Instant`]s fixed at submission, so time spent
 //! waiting in the queue counts against the budget; the selection loop
 //! polls the deadline between greedy rounds (see
-//! [`podium_core::engine::lazy_select_deadline`]).
+//! [`podium_core::engine::SelectSpec::stop`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

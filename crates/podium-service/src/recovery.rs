@@ -335,8 +335,10 @@ pub fn recover(
             Err(_) => report.checkpoints_rejected += 1,
         }
     }
+    // The checkpoint's JSON interns labels in file order, but `buckets`
+    // is indexed by genesis's property ids: reload under those ids.
     let (base_repo, ck_seq, ck_epoch) = match loaded {
-        Some(ck) => (ck.repo, ck.seq, ck.epoch),
+        Some(ck) => (ck.repo.reindexed_like(&genesis), ck.seq, ck.epoch),
         None => (genesis, 0, 0),
     };
     report.checkpoint_seq = ck_seq;
@@ -653,6 +655,68 @@ mod tests {
         assert_eq!(r3.replayed_frames, 1);
         assert_eq!(r3.recovered_epoch, 3);
         assert!(w3.repo().user_by_name("dave").is_some());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A genesis built in memory whose property ids do not follow label
+    /// order: after a checkpoint restart every bucket set must still sit
+    /// on its own property, so the default select is unchanged.
+    #[test]
+    fn checkpoint_restart_keeps_genesis_property_ids() {
+        use crate::snapshot::SelectParams;
+        use podium_core::rng::{splitmix64, unit_float};
+        use podium_core::weights::{CovScheme, WeightScheme};
+
+        let dir = temp_dir("property-ids");
+        let mut genesis = UserRepository::new();
+        // Interned in reverse label order; each property's scores span a
+        // different range, so adaptive buckets differ per property.
+        let props: Vec<_> = (0..6u32)
+            .rev()
+            .map(|i| (i, genesis.intern_property(format!("topic-{i}"))))
+            .collect();
+        let mut rng = 0x5EED_u64;
+        for u in 0..60 {
+            let user = genesis.add_user(format!("user-{u}"));
+            for &(i, p) in &props {
+                if splitmix64(&mut rng) % 3 != 0 {
+                    let score = unit_float(&mut rng) * f64::from(i + 1) / 6.0;
+                    genesis.set_score(user, p, score).unwrap();
+                }
+            }
+        }
+        let buckets = BucketingConfig::adaptive_default().bucketize(&genesis);
+        let params = SelectParams {
+            budget: 5,
+            weight: WeightScheme::LinearBySize,
+            cov: CovScheme::Single,
+            quota_hash: 0,
+        };
+
+        let (store, mut writer, _) =
+            recover(&dir, genesis.clone(), &buckets, PublishMode::Incremental).unwrap();
+        let mut wal = WalWriter::open(&dir, FsyncPolicy::Always, 1, 0).unwrap();
+        let updates = vec![
+            update("user-3", "topic-5", Some(0.95)),
+            update("user-7", "topic-0", Some(0.05)),
+        ];
+        wal.append(1, updates.clone()).unwrap();
+        for u in &updates {
+            writer.apply(u).unwrap();
+        }
+        writer.publish();
+        let live = store.load().select(&params, None).unwrap();
+        let profiles = podium_data::json::profiles_to_json(writer.repo()).unwrap();
+        write_checkpoint(&dir, 1, writer.epoch(), &profiles).unwrap();
+        drop((store, writer, wal));
+
+        let (store, _writer, report) =
+            recover(&dir, genesis, &buckets, PublishMode::Incremental).unwrap();
+        assert_eq!(report.checkpoint_seq, 1);
+        assert_eq!(report.replayed_frames, 0);
+        let recovered = store.load().select(&params, None).unwrap();
+        assert_eq!(recovered.names, live.names);
+        assert_eq!(recovered.selection.score, live.selection.score);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use podium_core::bucket::PropertyBuckets;
 use podium_core::engine::{
-    anneal_refine, constrained_lazy_select, constraint_fingerprint, lazy_select_deadline,
-    lazy_select_seeded_deadline, AnnealSchedule, CsrGraph, Quota, QuotaSet,
+    constraint_fingerprint, select, AnnealSchedule, CsrGraph, Quota, QuotaSet, SelectSpec,
+    Strategy,
 };
 use podium_core::greedy::Selection;
 use podium_core::group::GroupSet;
@@ -364,40 +364,14 @@ impl Snapshot {
             }
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let weights = self.weights_for(params.weight);
-        let covs = params.cov.cov(&self.groups, params.budget);
-        let inst = DiversificationInstance::new(&self.groups, weights, covs);
         let seeds = self.seed_pairs(params.weight);
-        let (selection, completed) = match (&seeds, deadline) {
-            (Some(s), d) => {
-                let mut stop = move |_: usize| d.is_some_and(|d| Instant::now() >= d);
-                lazy_select_seeded_deadline(&inst, &self.csr, params.budget, s, &mut stop)
-            }
-            (None, Some(d)) => {
-                lazy_select_deadline(&inst, &self.csr, params.budget, None, &mut |_| {
-                    Instant::now() >= d
-                })
-            }
-            (None, None) => (
-                podium_core::engine::lazy_select_csr(&inst, &self.csr, params.budget, None),
-                true,
-            ),
+        let stop = move |_: usize| deadline.is_some_and(|d| Instant::now() >= d);
+        let spec = SelectSpec {
+            warm: seeds.as_deref(),
+            stop: Some(&stop),
+            ..SelectSpec::new(params.budget, Strategy::Lazy)
         };
-        if !completed {
-            return Err(ServiceError::DeadlineExceeded);
-        }
-        let names = self.user_names(&selection.users);
-        let score = selection.score;
-        let outcome = SelectOutcome {
-            epoch: self.epoch,
-            selection,
-            names,
-            cache_hit: false,
-            stale: false,
-            certified_score_lb: score,
-        };
-        self.memoize(params, &outcome);
-        Ok(outcome)
+        self.compute(params, &spec)
     }
 
     /// Quota-constrained select against this snapshot, memoized under
@@ -441,18 +415,24 @@ impl Snapshot {
         }
         let quotas = QuotaSet::build(constraints.quotas.clone(), self.groups.len(), params.budget)
             .map_err(|e| ServiceError::BadRequest(format!("'constraints': {e}")))?;
+        let spec = SelectSpec {
+            quotas: Some(&quotas),
+            anneal: constraints.anneal.as_ref(),
+            ..SelectSpec::new(params.budget, Strategy::Lazy)
+        };
+        self.compute(params, &spec)
+    }
+
+    /// Runs one memo-missing selection on this epoch and memoizes it.
+    fn compute(
+        &self,
+        params: &SelectParams,
+        spec: &SelectSpec<'_, f64>,
+    ) -> Result<SelectOutcome, ServiceError> {
         let weights = self.weights_for(params.weight);
         let covs = params.cov.cov(&self.groups, params.budget);
         let inst = DiversificationInstance::new(&self.groups, weights, covs);
-        let greedy = constrained_lazy_select(&inst, &self.csr, params.budget, &quotas)
-            .map_err(|e| ServiceError::Infeasible {
-                group: e.group,
-                reason: e.reason,
-            })?;
-        let selection = match &constraints.anneal {
-            Some(schedule) => anneal_refine(&inst, &self.csr, &quotas, &greedy, schedule),
-            None => greedy,
-        };
+        let selection = select(&inst, &self.csr, spec)?;
         let names = self.user_names(&selection.users);
         let score = selection.score;
         let outcome = SelectOutcome {
@@ -683,7 +663,7 @@ struct PublishRecord {
 }
 
 /// Writer-side warm-start seed bounds (see
-/// [`podium_core::engine::lazy_select_seeded_deadline`]): exact for users
+/// [`podium_core::engine::SelectSpec::warm`]): exact for users
 /// the delta touched, monotone-slack upper bounds for the rest.
 #[derive(Debug, Default)]
 struct SeedState {
@@ -1293,7 +1273,8 @@ fn rebuild_seeds_exact(inc: &IncrementalGroups, seeds: &mut SeedState) {
 mod tests {
     use super::*;
     use podium_core::bucket::BucketingConfig;
-    use podium_core::engine::{EngineVariant, QuotaBound, SelectionEngine};
+    use podium_core::engine::QuotaBound;
+    use podium_core::greedy::greedy_select;
 
     fn seed_repo() -> UserRepository {
         let mut repo = UserRepository::new();
@@ -1448,8 +1429,7 @@ mod tests {
             CovScheme::Single,
             3,
         );
-        let engine = SelectionEngine::new(&inst);
-        let reference = engine.select(EngineVariant::LazyHeap, 3);
+        let reference = greedy_select(&inst, 3);
         assert_eq!(outcome.selection, reference);
         assert_eq!(outcome.names.len(), 3);
     }
@@ -1642,8 +1622,7 @@ mod tests {
             CovScheme::Single,
             2,
         );
-        let engine = SelectionEngine::new(&rebuilt);
-        assert_eq!(after.selection, engine.select(EngineVariant::LazyHeap, 2));
+        assert_eq!(after.selection, greedy_select(&rebuilt, 2));
     }
 
     /// Budget-1 LBS select over [`seed_repo`]: Alice wins (covers the

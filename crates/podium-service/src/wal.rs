@@ -42,6 +42,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use podium_core::rng::splitmix64;
 use serde_json::Value;
 
 use crate::error::ServiceError;
@@ -96,14 +97,6 @@ impl FsyncPolicy {
             _ => None,
         }
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The splitmix64-folded CRC of a frame payload (see module docs).
@@ -435,6 +428,16 @@ mod tests {
         let payload = frame.encode_payload();
         let back = WalFrame::decode_payload(payload.as_bytes()).unwrap();
         assert_eq!(back, frame);
+    }
+
+    /// Pins the on-disk checksum: WAL frames and checkpoints written by
+    /// earlier builds must keep verifying.
+    #[test]
+    fn frame_checksum_is_pinned() {
+        let payload = br#"{"seq":7,"epoch":3,"updates":[{"user":"alice","property":"avgRating Mexican","score":0.75}]}"#;
+        assert_eq!(frame_checksum(payload), 0x1de4_f93d_7819_1b21);
+        assert_eq!(frame_checksum(b""), 0x8216_8a41_d279_0a46);
+        assert_eq!(frame_checksum(b"podium"), 0xdc8b_a2c8_8453_423b);
     }
 
     #[test]

@@ -20,9 +20,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use podium_core::bucket::BucketingConfig;
-use podium_core::engine::{splitmix64, Quota, QuotaBound, QuotaSet};
+use podium_core::engine::{Quota, QuotaBound, QuotaSet};
 use podium_core::ids::UserId;
 use podium_core::profile::UserRepository;
+use podium_core::rng::splitmix64;
 use podium_service::service::{PodiumService, ServiceConfig};
 use podium_service::tcp::{TcpServer, TcpServerConfig};
 use serde_json::Value;

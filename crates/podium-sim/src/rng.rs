@@ -1,12 +1,14 @@
 //! The simulator's deterministic random streams.
 //!
 //! Everything random in a simulation flows through [`SimRng`], a
-//! splitmix64 generator (the same kernel used by `podium-service`'s
-//! bench and chaos modules). Each stochastic process (arrival, drift,
+//! stream over the workspace's one splitmix64 kernel
+//! ([`podium_core::rng`]). Each stochastic process (arrival, drift,
 //! churn, sessions) derives its own stream with [`SimRng::derive`] so
 //! that adding draws to one process never perturbs another — the key to
 //! keeping event traces byte-identical across refactors of a single
 //! process.
+
+use podium_core::rng::{splitmix64, unit_float};
 
 /// A splitmix64 pseudo-random stream.
 #[derive(Debug, Clone)]
@@ -16,14 +18,6 @@ pub struct SimRng {
 
 /// splitmix64's additive constant (the 64-bit golden ratio).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(GOLDEN);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl SimRng {
     /// A stream seeded directly from `seed`.
@@ -48,8 +42,7 @@ impl SimRng {
 
     /// A uniform draw in `[0, 1)` with 53 bits of precision.
     pub fn unit(&mut self) -> f64 {
-        // podium-lint: allow(as-cast) — u64 >> 11 fits f64's 53-bit mantissa exactly
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        unit_float(&mut self.state)
     }
 
     /// A uniform draw in `[0, n)`; returns 0 when `n == 0`.

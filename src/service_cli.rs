@@ -22,6 +22,7 @@
 
 use std::time::Duration;
 
+use podium_core::rng::unit_float;
 use podium_data::report::{load_report, replay, save_report, ReplayFormat, ReplayStatus};
 use podium_service::bench::{next_row_seq, run_bench_with, BenchConfig, BenchTransport};
 use podium_service::snapshot::PublishMode;
@@ -460,19 +461,9 @@ pub fn compute_backoff_ms(base_ms: u64, cap_ms: u64, attempt: u32, seed: &mut u6
     let exponent = attempt.saturating_sub(1).min(32);
     let uncapped = base_ms.saturating_mul(1u64 << exponent);
     let capped = uncapped.min(cap_ms);
-    // podium-lint: allow(as-cast) — 53-bit jitter mantissa and millisecond caps are exact in f64
-    let unit = (splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64;
+    let unit = unit_float(seed);
     // podium-lint: allow(as-cast) — capped ≤ cap_ms (a CLI millisecond count, far below 2^53); the product is non-negative so the u64 round-trip is lossless
     (capped as f64 * (0.5 + 0.5 * unit)).round() as u64
-}
-
-/// splitmix64, for the replay backoff jitter stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Parses `quarantine` arguments (everything after the `quarantine` word).

@@ -1,9 +1,9 @@
 //! Property-based tests (proptest) for the core invariants that the
 //! paper's guarantees rest on.
 
+use podium::core::engine::{self, SelectSpec};
 use podium::core::exact::exact_select;
-use podium::core::greedy::{greedy_select, greedy_select_opts, TieBreak};
-use podium::core::lazy_greedy::lazy_greedy_select;
+use podium::core::greedy::{greedy_select, TieBreak};
 use podium::core::submodular::{check_monotone_chain, check_submodular_witness};
 use podium::prelude::*;
 use proptest::prelude::*;
@@ -31,6 +31,16 @@ fn instance_strategy(
             )
         })
     })
+}
+
+/// One selection under `strategy`; every strategy used here completes.
+fn run(
+    inst: &DiversificationInstance<f64>,
+    b: usize,
+    strategy: engine::Strategy,
+) -> Selection<f64> {
+    let csr = CsrGraph::from_group_set(inst.groups());
+    engine::select(inst, &csr, &SelectSpec::new(b, strategy)).expect("unhooked run completes")
 }
 
 fn build_groups(users: usize, memberships: &[Vec<u32>]) -> GroupSet {
@@ -107,7 +117,7 @@ proptest! {
         let w: Vec<f64> = weights.iter().map(|&x| f64::from(x)).collect();
         let inst = DiversificationInstance::new(&groups, w, covs);
         let eager = greedy_select(&inst, b);
-        let lazy = lazy_greedy_select(&inst, b);
+        let lazy = run(&inst, b, engine::Strategy::Lazy);
         prop_assert_eq!(eager.score, lazy.score);
     }
 
@@ -125,7 +135,11 @@ proptest! {
         let w: Vec<f64> = weights.iter().map(|&x| f64::from(x)).collect();
         let inst = DiversificationInstance::new(&groups, w, covs);
         let det = greedy_select(&inst, b);
-        let rnd = greedy_select_opts(&inst, b, None, TieBreak::Seeded(seed));
+        let rnd = run(
+            &inst,
+            b,
+            engine::Strategy::Eager { tie_break: TieBreak::Seeded(seed) },
+        );
         prop_assert_eq!(det.gains[0], rnd.gains[0], "first pick is the argmax");
         let opt = exact_select(&inst, b, 1 << 30).unwrap();
         prop_assert!(rnd.score >= (1.0 - 1.0 / std::f64::consts::E) * opt.score - 1e-9);
