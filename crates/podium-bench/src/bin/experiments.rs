@@ -5,8 +5,8 @@
 //! experiments <id> [--scale X] [--budget B] [--seed S]
 //! ```
 //! where `<id>` is one of `table2`, `fig3a`, `fig3b`, `fig3c`, `fig3d`,
-//! `fig4`, `fig5`, `fig6`, `approx`, `optscale`, `ablation`, `serving`,
-//! `drift`, `constrained`, or `all`.
+//! `fig4`, `fig5`, `fig6`, `approx`, `optscale`, `ablation`, `drift`,
+//! `constrained`, or `all`.
 //!
 //! Run with `--release`; the scalability and approximation experiments are
 //! meaningless in debug builds.
@@ -37,7 +37,6 @@ const EXPERIMENTS: &[(&str, bool)] = &[
     ("optscale", true),
     ("bsweep", true),
     ("ablation", true),
-    ("serving", true),
     ("drift", true),
     ("constrained", true),
     ("selftest-panic", false),
@@ -116,7 +115,7 @@ fn usage(msg: &str) -> ! {
         "usage: experiments <id>[,<id>...] [--scale X] [--budget B] [--seed S] \
          [--timeout-secs T] [--status-file PATH]\n\
          ids: table2, fig3a, fig3b, fig3c, fig3d, fig4, fig5, fig6, approx, \
-         optscale, bsweep, ablation, serving, drift, constrained, \
+         optscale, bsweep, ablation, drift, constrained, \
          selftest-panic, selftest-slow, all\n\
          Each experiment runs panic-isolated: a failure is recorded in the \
          status file (JSONL) and the run continues; the exit code is \
@@ -442,69 +441,21 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
             header("Ablation: weight/coverage schemes, bucketing, eager vs lazy greedy");
             run_ablation(args.scale, args.budget, args.seed);
         }
-        "serving" => {
-            header("Serving: sustained select throughput under live updates (podium-service)");
-            let mut report = podium_bench::serving_exp::run(args.scale, args.seed);
-            print!("{}", podium_bench::serving_exp::render(&report));
-            let row_path = std::path::Path::new("target/bench-serve.jsonl");
-            if let Some(dir) = row_path.parent() {
-                // podium-lint: allow(discarded-result) — if the dir is missing, the append open below reports "could not record"
-                let _ = std::fs::create_dir_all(dir);
-            }
-            report.seq = podium_service::bench::next_row_seq(
-                &std::fs::read_to_string(row_path).unwrap_or_default(),
-            );
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(row_path)
-                .and_then(|mut f| writeln!(f, "{}", report.to_json()));
-            match appended {
-                Ok(()) => println!("recorded: {}", row_path.display()),
-                Err(e) => println!("could not record {}: {e}", row_path.display()),
-            }
-            assert_eq!(report.failed, 0, "no failed responses under load");
-            assert_eq!(report.inconsistent, 0, "no inconsistent responses");
-            details = Some(podium_bench::serving_exp::details_json(&report));
-        }
         "drift" => {
-            header("Drift: publish latency and memo retention under profile drift");
-            let mut reports = podium_bench::serving_exp::run_drift(args.scale, args.seed);
-            print!("{}", podium_bench::serving_exp::render_drift(&reports));
-            // Each cell is also one bench-serve JSONL row.
-            let row_path = std::path::Path::new("target/bench-serve.jsonl");
-            if let Some(dir) = row_path.parent() {
-                // podium-lint: allow(discarded-result) — if the dir is missing, the append open below skips recording, and the printed summary still carries the numbers
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let base_seq = podium_service::bench::next_row_seq(
-                &std::fs::read_to_string(row_path).unwrap_or_default(),
-            );
-            for (offset, report) in reports.iter_mut().enumerate() {
-                report.seq = base_seq.saturating_add(u64::try_from(offset).unwrap_or(u64::MAX));
-            }
-            if let Ok(mut f) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(row_path)
-            {
-                for report in &reports {
-                    // podium-lint: allow(discarded-result) — best-effort row recording; the checked-in bench6 artifact below is the durable copy
-                    let _ = writeln!(f, "{}", report.to_json());
-                }
-                println!("recorded: {}", row_path.display());
-            }
+            header("Drift: select throughput and publish latency under profile drift");
+            let cells = podium_bench::serving_exp::run_drift(args.scale, args.seed);
+            print!("{}", podium_bench::serving_exp::render_drift(&cells));
             // The checked-in artifact: measured numbers for this PR.
-            let artifact = podium_bench::serving_exp::bench6_json(&reports);
+            let artifact = podium_bench::serving_exp::bench6_json(&cells);
             match std::fs::write("BENCH_6.json", &artifact) {
                 Ok(()) => println!("wrote BENCH_6.json"),
                 Err(e) => println!("could not write BENCH_6.json: {e}"),
             }
-            for report in &reports {
-                assert_eq!(report.failed, 0, "no failed responses under drift");
-                assert_eq!(report.inconsistent, 0, "no inconsistent responses");
+            for cell in &cells {
+                assert_eq!(cell.count("failed"), 0, "no failed responses under drift");
+                assert_eq!(cell.count("inconsistent"), 0, "no inconsistent responses");
             }
-            details = Some(podium_bench::serving_exp::drift_details_json(&reports));
+            details = Some(podium_bench::serving_exp::drift_details_json(&cells));
         }
         "constrained" => {
             header("Constrained: quota-constrained greedy vs time-matched annealing");

@@ -16,7 +16,8 @@
 //! * [`mod@derive`] — derivation of the paper's aggregate profile properties
 //!   (Average Rating, Visit Frequency, Enthusiasm Level) from raw activity;
 //! * [`synth`] — a latent-trait population generator with TripAdvisor-like
-//!   and Yelp-like presets;
+//!   and Yelp-like presets, plus the uniform-score serving repository
+//!   ([`synth::synthetic_repository`]) the load tests and simulator share;
 //! * [`split`] — the §8.2 holdout protocol: profiles for selection vs.
 //!   held-out destination reviews for opinion-diversity evaluation;
 //! * [`json`] — the JSON profile interchange format of the prototype (§7);

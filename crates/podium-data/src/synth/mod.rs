@@ -20,6 +20,7 @@
 
 pub mod stats;
 pub mod tripadvisor;
+mod uniform;
 pub mod yelp;
 
 use std::collections::HashSet;
@@ -35,6 +36,7 @@ use crate::reviews::{Destination, DestinationId, Review, ReviewCorpus, Sentiment
 use crate::taxonomy::Taxonomy;
 
 pub use tripadvisor::tripadvisor;
+pub use uniform::{assigned_property, synthetic_repository};
 pub use yelp::yelp;
 
 /// Configuration of a synthetic dataset.

@@ -15,8 +15,8 @@
 //!    poison-propagation.
 //! 3. **protocol exhaustiveness** ([`passes::protocol`]): cross-checks
 //!    `ServiceError` / `DataErrorKind` variants against their wire
-//!    codes, the failure-cause classification in `bench-serve`, the
-//!    protocol module docs, and DESIGN.md.
+//!    codes, the simulator's failure-cause classifier, the protocol
+//!    module docs, and DESIGN.md.
 //! 4. **cfg/feature hygiene** ([`passes::cfg_features`]): every
 //!    `#[cfg(feature = "…")]` / `cfg!(feature = "…")` must name a
 //!    feature declared in the owning crate's `Cargo.toml`.

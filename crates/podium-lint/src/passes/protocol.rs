@@ -7,8 +7,9 @@
 //!   (`crates/podium-service/src/error.rs`, `fn code`);
 //! * the protocol module docs, which enumerate the codes clients can
 //!   receive (`crates/podium-service/src/protocol.rs`);
-//! * the failure-cause classifier `bench-serve` aggregates by
-//!   (`crates/podium-service/src/bench.rs`, `fn classify_error_code`);
+//! * the failure-cause classifier the simulator's failure breakdown
+//!   counts by (`crates/podium-sim/src/transport.rs`,
+//!   `fn classify_error_code`);
 //! * DESIGN.md, the operator-facing contract.
 //!
 //! Likewise `DataErrorKind` variants and their quarantine-report tags
@@ -28,7 +29,7 @@ use crate::{Rule, Violation};
 /// Relative paths of everything the pass reads.
 const ERROR_RS: &str = "crates/podium-service/src/error.rs";
 const PROTOCOL_RS: &str = "crates/podium-service/src/protocol.rs";
-const BENCH_RS: &str = "crates/podium-service/src/bench.rs";
+const CLASSIFIER_RS: &str = "crates/podium-sim/src/transport.rs";
 const LOAD_RS: &str = "crates/podium-data/src/load.rs";
 const DESIGN_MD: &str = "DESIGN.md";
 
@@ -42,7 +43,7 @@ pub fn run(root: &Path) -> Vec<Violation> {
     let Some(protocol_src) = read(root, PROTOCOL_RS, &mut out) else {
         return out;
     };
-    let Some(bench_src) = read(root, BENCH_RS, &mut out) else {
+    let Some(classifier_src) = read(root, CLASSIFIER_RS, &mut out) else {
         return out;
     };
     let Some(load_src) = read(root, LOAD_RS, &mut out) else {
@@ -101,12 +102,12 @@ pub fn run(root: &Path) -> Vec<Violation> {
         }
     }
 
-    // bench-serve classifier strings must be real codes.
-    let bench_scan = FileScan::new(&bench_src);
-    for (code, line) in string_match_arms(&bench_scan, b"classify_error_code") {
+    // Failure-classifier strings must be real codes.
+    let classifier_scan = FileScan::new(&classifier_src);
+    for (code, line) in string_match_arms(&classifier_scan, b"classify_error_code") {
         if !arms.iter().any(|(_, c, _)| *c == code) {
             out.push(Violation::new(
-                BENCH_RS,
+                CLASSIFIER_RS,
                 line,
                 1,
                 Rule::ProtocolStale,
@@ -351,11 +352,11 @@ impl ServiceError {
     #[test]
     fn extracts_string_patterns_not_return_values() {
         let src = br#"
-fn classify_error_code(code: &str) -> FailCause {
+fn classify_error_code(code: &str) -> Cause {
     match code {
-        "deadline_exceeded" => FailCause::Deadline,
-        "overloaded" | "shutting_down" => FailCause::Admission,
-        _ => FailCause::Other,
+        "deadline_exceeded" => Cause::Deadline,
+        "overloaded" | "shutting_down" => Cause::Admission,
+        _ => Cause::Other,
     }
 }
 "#;
@@ -368,5 +369,53 @@ fn classify_error_code(code: &str) -> FailCause {
             arms,
             vec!["deadline_exceeded", "overloaded", "shutting_down"]
         );
+    }
+
+    /// The pass over a copy of the workspace's real inputs, with the
+    /// classifier file's text passed through `edit`.
+    fn run_with_classifier(edit: impl Fn(&str) -> String) -> Vec<Violation> {
+        let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = std::env::temp_dir().join(format!(
+            "podium-lint-protocol-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        for rel in [ERROR_RS, PROTOCOL_RS, CLASSIFIER_RS, LOAD_RS, DESIGN_MD] {
+            let text = std::fs::read_to_string(workspace.join(rel)).unwrap();
+            let text = if rel == CLASSIFIER_RS {
+                edit(&text)
+            } else {
+                text
+            };
+            let dest = root.join(rel);
+            std::fs::create_dir_all(dest.parent().unwrap()).unwrap();
+            std::fs::write(dest, text).unwrap();
+        }
+        let found = run(&root);
+        let _ = std::fs::remove_dir_all(&root);
+        found
+    }
+
+    #[test]
+    fn the_sim_classifier_is_read_and_checked() {
+        let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let src = std::fs::read(workspace.join(CLASSIFIER_RS)).unwrap();
+        let arms: Vec<String> = string_match_arms(&FileScan::new(&src), b"classify_error_code")
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
+        assert_eq!(arms, vec!["deadline_exceeded", "overloaded"]);
+        assert_eq!(run_with_classifier(str::to_owned), Vec::new());
+        // A classifier arm naming no wire code is stale.
+        let stale = run_with_classifier(|text| {
+            text.replacen(
+                "\"overloaded\" => Cause::Admission,",
+                "\"overloaded\" | \"queue_full\" => Cause::Admission,",
+                1,
+            )
+        });
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert_eq!(stale[0].rule, Rule::ProtocolStale);
+        assert!(stale[0].message.contains("`queue_full`"), "{stale:?}");
     }
 }

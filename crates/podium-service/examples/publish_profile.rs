@@ -6,7 +6,7 @@ use std::time::Instant;
 use podium_core::bucket::BucketingConfig;
 use podium_core::incremental::IncrementalGroups;
 use podium_core::weights::WeightScheme;
-use podium_service::bench::synthetic_repository;
+use podium_data::synth::synthetic_repository;
 use podium_service::snapshot::{ProfileUpdate, PublishMode, RepositoryWriter};
 
 fn main() {

@@ -103,8 +103,8 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A point-in-time view of the client's breaker/health state, as
-/// surfaced in bench-serve's JSONL `peers` array.
+/// A point-in-time view of the client's breaker/health state, as a
+/// closed-loop `sim run` reports it per client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientHealth {
     /// The breaker's current state.

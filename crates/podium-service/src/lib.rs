@@ -33,10 +33,11 @@
 //!   length-prefixed write-ahead log with a configurable fsync policy,
 //!   atomic checkpoint files, and a startup recovery path that loads the
 //!   newest valid checkpoint, replays the WAL suffix through the ordinary
-//!   publish path, and quarantines torn tails instead of panicking;
-//! * [`bench`] — a closed-loop load generator reporting sustained
-//!   throughput and latency percentiles while a background writer streams
-//!   profile updates, in-process or over TCP.
+//!   publish path, and quarantines torn tails instead of panicking.
+//!
+//! Load is generated outside the crate: `podium-sim` drives the service
+//! through these same transports, with closed-loop clients for
+//! throughput runs.
 //!
 //! The crate is embeddable: [`service::PodiumService`] is an ordinary
 //! `Send + Sync` value; the binary front-end lives in the workspace's
@@ -45,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod chaos;
 pub mod client;
 pub mod error;

@@ -76,7 +76,7 @@ impl DurabilityOptions {
 }
 
 /// What [`recover`] found and did — surfaced through the `stats` op and
-/// bench-serve JSONL.
+/// the boot-time summary line.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// WAL sequence the loaded checkpoint was current through (0 = none).
@@ -452,10 +452,10 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::synthetic_repository;
     use crate::snapshot::ProfileUpdate;
     use crate::wal::{FsyncPolicy, WalWriter};
     use podium_core::bucket::BucketingConfig;
+    use podium_data::synth::synthetic_repository;
 
     fn fixture() -> (UserRepository, PropertyBuckets) {
         let repo = synthetic_repository(40, 4, 2, 0xD1CE_2020);

@@ -424,11 +424,6 @@ impl PodiumService {
         Ok(published)
     }
 
-    /// Cumulative memo-cache counters (monotone across epochs).
-    pub fn cache_counters(&self) -> &CacheCounters {
-        &self.cache_counters
-    }
-
     /// The snapshot store (for embedding callers that read directly).
     pub fn store(&self) -> &Arc<SnapshotStore> {
         &self.store

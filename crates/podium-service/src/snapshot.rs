@@ -200,19 +200,18 @@ impl PublishStats {
     /// `(p50, p99)` of the retained publish latencies, in microseconds.
     /// `(0, 0)` before the first publish.
     pub fn latency_percentiles(&self) -> (u64, u64) {
-        if self.latencies.is_empty() {
-            return (0, 0);
-        }
         let mut sorted = self.latencies.clone();
         sorted.sort_unstable();
-        let at = |q: f64| {
-            // podium-lint: allow(as-cast) — ring length ≤ 512: rank arithmetic is exact in f64 and non-negative
-            let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-            // podium-lint: allow(index) — idx is clamped to len − 1 and the ring is non-empty here
-            sorted[idx.min(sorted.len() - 1)]
-        };
-        (at(0.50), at(0.99))
+        (rank_percentile(&sorted, 50), rank_percentile(&sorted, 99))
     }
+}
+
+/// The `percent`-th percentile of an ascending sample by floor rank: the
+/// element at index `(len − 1) · percent / 100`; 0 for an empty sample.
+/// Every latency percentile the workspace reports uses this one rule.
+pub fn rank_percentile(sorted: &[u64], percent: usize) -> u64 {
+    let idx = sorted.len().saturating_sub(1) * percent.min(100) / 100;
+    sorted.get(idx).copied().unwrap_or(0)
 }
 
 /// An immutable, epoch-numbered view of the repository and its derived
@@ -1788,6 +1787,12 @@ mod tests {
         assert_eq!(stats.last.publish_batch_size, 3, "one epoch per batch");
         let (p50, p99) = stats.latency_percentiles();
         assert!(p50 <= p99);
+        // A full, unsorted ring: floor rank (indices 255 and 505).
+        let ring = PublishStats {
+            latencies: (0..512).rev().collect(),
+            ..PublishStats::default()
+        };
+        assert_eq!(ring.latency_percentiles(), (255, 505));
     }
 
     #[test]

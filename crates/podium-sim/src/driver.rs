@@ -18,23 +18,37 @@
 //!
 //! Wall-clock performance numbers (req/s, percentiles) go to the human
 //! summary and the dashboard, never into the trace or rollup.
+//!
+//! A scenario with closed-loop clients ([`crate::clients`]) also runs
+//! them for the whole window and paces the event loop to wall-clock
+//! time, so its rates are real rates. Client requests are logged in
+//! `requests.jsonl` (rows carrying a `client` index) after the window,
+//! behind a closing `stats` reading and followed by each TCP client's
+//! final `client-health`; none of them reach the trace or the rollup,
+//! which therefore stay what the event loop asked.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use podium_core::weights::{CovScheme, WeightScheme};
+use podium_data::synth::assigned_property;
 use podium_service::protocol::{encode_request, num_u64, Request};
+use podium_service::recovery::{self, DurabilityOptions};
 use podium_service::service::{PodiumService, ServiceConfig};
 use podium_service::session::FeedbackDelta;
-use podium_service::snapshot::{ProfileUpdate, SelectConstraints, SelectParams};
+use podium_service::snapshot::{
+    rank_percentile, ProfileUpdate, PublishMode, SelectConstraints, SelectParams,
+};
 use serde_json::Value;
 
+use crate::clients::{ClientRun, ClosedLoop};
 use crate::events::{Event, EventQueue};
-use crate::population::{assigned_property, bucket_score, Population, SimUser};
+use crate::population::{bucket_score, Population, SimUser};
 use crate::rng::SimRng;
 use crate::scenario::Scenario;
-use crate::transport::{outcome_tag, Transport, TransportSpec};
+use crate::stream::{parse_stream, JsonlStream};
+use crate::transport::{micros, outcome_tag, Endpoint, Transport, TransportSpec};
 use crate::SimError;
 
 /// Schema tag of event-trace rows.
@@ -53,6 +67,17 @@ pub struct SimOptions {
     pub transport: TransportSpec,
 }
 
+/// How the service under test is deployed: the knobs a scenario leaves
+/// to the command line because they pick *which* service is measured.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Deployment {
+    /// How the writer materializes epochs.
+    pub publish_mode: PublishMode,
+    /// Data dir, fsync policy and checkpoint cadence; `None` serves from
+    /// memory.
+    pub durability: Option<DurabilityOptions>,
+}
+
 /// The three artifacts of a run plus a human summary.
 #[derive(Debug)]
 pub struct SimOutput {
@@ -64,6 +89,9 @@ pub struct SimOutput {
     pub rollup: Value,
     /// Wall-clock summary for stdout.
     pub human: String,
+    /// The dashboard's `sim` section over this run's trace and request
+    /// log (what `sim report` shows for them).
+    pub dashboard: Value,
 }
 
 /// Stream keys for [`SimRng::derive`]; fixed so adding a process never
@@ -74,12 +102,29 @@ mod streams {
     pub const CHURN: u64 = 3;
     pub const DRIFT: u64 = 4;
     pub const SESSION: u64 = 5;
+    pub const CLIENTS: u64 = 6;
 }
+
+/// The `stats` response fields an observer row copies into the request
+/// log, so the dashboard reads service counters from the log alone.
+const STATS_COUNTERS: [&str; 6] = [
+    "cache_hits",
+    "cache_misses",
+    "publishes",
+    "publish_p50_micros",
+    "publish_p99_micros",
+    "queue_depth",
+];
 
 struct SessionState {
     server_id: u64,
     selects_left: usize,
     refines_left: usize,
+    /// Groups this session already sent as `must_have` / `must_not`:
+    /// feedback accumulates server-side, so a later refine must not send
+    /// one of them the other way.
+    must_have: BTreeSet<u32>,
+    must_not: BTreeSet<u32>,
 }
 
 /// The mutable heart of a run.
@@ -104,7 +149,6 @@ struct Driver {
     events_processed: u64,
     by_op: BTreeMap<&'static str, u64>,
     outcomes: BTreeMap<String, u64>,
-    latencies_us: BTreeMap<&'static str, Vec<u64>>,
     users_created: u64,
     users_churned: u64,
     drift_steps: u64,
@@ -115,32 +159,52 @@ struct Driver {
     staleness_sum: u64,
 }
 
-/// Runs one simulation to completion.
+/// Runs one simulation to completion against an in-memory service.
 pub fn run_sim(scenario: &Scenario, options: &SimOptions) -> Result<SimOutput, SimError> {
+    run_sim_with(scenario, options, &Deployment::default())
+}
+
+/// [`run_sim`] against a service deployed as `deployment` says. A
+/// durable run ends with a timed cold recovery of its data dir, logged
+/// as a `recovery` row of the request log.
+pub fn run_sim_with(
+    scenario: &Scenario,
+    options: &SimOptions,
+    deployment: &Deployment,
+) -> Result<SimOutput, SimError> {
     let root = SimRng::new(options.seed);
-    let mut pop_rng = root.derive(streams::POPULATION);
-    let (repo, buckets, population) = crate::population::build_initial(scenario, &mut pop_rng);
-    let service = Arc::new(PodiumService::new(
-        repo,
-        &buckets,
-        ServiceConfig {
-            workers: scenario.service.workers,
-            queue_capacity: scenario.service.queue_capacity,
-            default_deadline_ms: scenario.service.deadline_ms,
-            ..ServiceConfig::default()
-        },
-    ));
-    let transport = match &options.transport {
-        TransportSpec::Inproc => Transport::inproc(service),
-        TransportSpec::Unix => Transport::unix(service, &format!("s{}", options.seed))?,
-        TransportSpec::Tcp { chaos } => {
-            Transport::tcp(service, *chaos, scenario.service.deadline_ms, options.seed)?
-        }
+    let build =
+        || crate::population::build_initial(scenario, &mut root.derive(streams::POPULATION));
+    let (repo, buckets, population) = build();
+    let config = ServiceConfig {
+        workers: scenario.service.workers,
+        queue_capacity: scenario.service.queue_capacity,
+        default_deadline_ms: scenario.service.deadline_ms,
+        publish_mode: deployment.publish_mode,
+        ..ServiceConfig::default()
     };
+    let service = Arc::new(match &deployment.durability {
+        None => PodiumService::new(repo, &buckets, config),
+        Some(opts) => {
+            PodiumService::with_durability(repo, &buckets, config, opts.clone())
+                .map_err(|e| SimError::Io(format!("data dir {}: {e}", opts.data_dir.display())))?
+                .0
+        }
+    });
+    let endpoint = Endpoint::start(
+        &options.transport,
+        Arc::clone(&service),
+        scenario.service.deadline_ms,
+        options.seed,
+    )?;
+    let mut client_rng = root.derive(streams::CLIENTS);
+    let connections = (0..scenario.clients)
+        .map(|_| endpoint.connect(client_rng.next_u64()))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut driver = Driver {
         scenario: scenario.clone(),
-        transport,
+        transport: endpoint.connect(options.seed)?,
         arrival_rng: root.derive(streams::ARRIVAL),
         churn_rng: root.derive(streams::CHURN),
         drift_rng: root.derive(streams::DRIFT),
@@ -157,7 +221,6 @@ pub fn run_sim(scenario: &Scenario, options: &SimOptions) -> Result<SimOutput, S
         events_processed: 0,
         by_op: BTreeMap::new(),
         outcomes: BTreeMap::new(),
-        latencies_us: BTreeMap::new(),
         users_created: 0,
         users_churned: 0,
         drift_steps: 0,
@@ -185,13 +248,27 @@ pub fn run_sim(scenario: &Scenario, options: &SimOptions) -> Result<SimOutput, S
 
     // podium-lint: allow(determinism-hygiene) — wall clock measures run duration for the human summary only; it never feeds the trace
     let wall_start = Instant::now();
+    let budget = scenario.session.budget;
+    let select = Request::Select {
+        params: default_params(budget),
+        constraints: None,
+        session: None,
+        deadline_ms: None,
+        stale_ok: false,
+    };
+    let clients = (!connections.is_empty())
+        .then(|| ClosedLoop::start(connections, &encode_request(&select), budget));
     while let Some(scheduled) = queue.pop() {
+        if let Some(clients) = &clients {
+            clients.pace(scheduled.at_us);
+        }
         if matches!(scheduled.event, Event::End) {
             break;
         }
         driver.events_processed += 1;
         driver.dispatch(&mut queue, scheduled.at_us, end_us, &scheduled.event);
     }
+    let runs = clients.map(ClosedLoop::stop).unwrap_or_default();
     // Drain: close whatever sessions are still open, in sid order, at
     // the horizon.
     let open: Vec<u64> = driver.sessions.keys().copied().collect();
@@ -200,14 +277,64 @@ pub fn run_sim(scenario: &Scenario, options: &SimOptions) -> Result<SimOutput, S
     }
     let wall_s = wall_start.elapsed().as_secs_f64();
 
+    // The rollup counts the event loop only: it is taken before the
+    // closing stats, client and recovery rows join the request log.
     let rollup = driver.rollup(options);
-    let human = driver.human_summary(options, wall_s);
+    if !runs.is_empty() {
+        // The clients outlive the last observer poll; a closing `stats`
+        // reading gives the dashboard counters that cover all of them.
+        let line = encode_request(&Request::Stats);
+        driver.request(end_us, "stats", &line);
+        driver.log_clients(end_us, &runs);
+    }
+    if let Some(opts) = &deployment.durability {
+        let (wal_bytes, checkpoint_epoch) = service
+            .durability()
+            .map(|d| (d.wal_bytes(), d.last_checkpoint_epoch()))
+            .unwrap_or_default();
+        let (genesis, _, _) = build();
+        // podium-lint: allow(determinism-hygiene) — times the post-run cold recovery for requests.jsonl and the human summary; it never feeds the trace or rollup
+        let started = Instant::now();
+        let recovered =
+            recovery::recover(&opts.data_dir, genesis, &buckets, deployment.publish_mode);
+        let latency_us = micros(started.elapsed());
+        let (outcome, epoch) = match &recovered {
+            Ok((_, _, report)) => ("ok", report.recovered_epoch),
+            Err(e) => (e.code(), 0),
+        };
+        let extra = vec![
+            ("epoch", num_u64(epoch)),
+            ("wal_bytes", num_u64(wal_bytes)),
+            ("last_checkpoint_epoch", num_u64(checkpoint_epoch)),
+        ];
+        driver.log_request(end_us, "recovery", outcome, latency_us, extra);
+    }
+    let logs = [
+        ("trace.jsonl", &driver.trace),
+        ("requests.jsonl", &driver.requests),
+    ]
+    .into_iter()
+    .filter(|(_, text)| !text.is_empty())
+    .map(|(path, text)| parse_stream(path, text))
+    .collect::<Result<Vec<_>, _>>()?;
+    let (human, dashboard) = driver.human_summary(options, wall_s, &logs);
     Ok(SimOutput {
         trace: driver.trace,
         requests: driver.requests,
         rollup,
         human,
+        dashboard,
     })
+}
+
+/// Select parameters at `budget` under the paper's default schemes.
+fn default_params(budget: usize) -> SelectParams {
+    SelectParams {
+        budget,
+        weight: WeightScheme::LinearBySize,
+        cov: CovScheme::Single,
+        quota_hash: 0,
+    }
 }
 
 /// `duration_s` in virtual microseconds, saturating.
@@ -393,6 +520,8 @@ impl Driver {
                 server_id,
                 selects_left: self.scenario.session.selects,
                 refines_left: self.scenario.session.refines,
+                must_have: BTreeSet::new(),
+                must_not: BTreeSet::new(),
             },
         );
         self.sessions_opened += 1;
@@ -411,12 +540,7 @@ impl Driver {
             return;
         };
         let server_id = state.server_id;
-        let params = SelectParams {
-            budget: self.scenario.session.budget,
-            weight: WeightScheme::LinearBySize,
-            cov: CovScheme::Single,
-            quota_hash: 0,
-        };
+        let params = default_params(self.scenario.session.budget);
         let mut reschedule = true;
         if state.selects_left > 0 {
             // Draw before sending so the stream shape is outcome-free.
@@ -448,7 +572,7 @@ impl Driver {
             };
             self.emit(now_us, "select", None, &request);
         } else if state.refines_left > 0 {
-            let (must_have, must_not) = self.draw_feedback();
+            let (must_have, must_not) = self.draw_feedback(sid);
             if let Some(s) = self.sessions.get_mut(&sid) {
                 s.refines_left -= 1;
             }
@@ -488,9 +612,12 @@ impl Driver {
         }
     }
 
-    /// Draws refine feedback group ids from the last observed group
-    /// count. Empty when the observer has not yet seen any groups.
-    fn draw_feedback(&mut self) -> (Vec<u32>, Vec<u32>) {
+    /// Draws refine feedback group ids for session `sid` from the last
+    /// observed group count. Empty when the observer has not yet seen any
+    /// groups. A drawn id the session already sent the other way is
+    /// dropped, since the server would reject the contradiction; the
+    /// draws themselves stay two per refine either way.
+    fn draw_feedback(&mut self, sid: u64) -> (Vec<u32>, Vec<u32>) {
         if self.group_count == 0 {
             // Keep the draw count fixed regardless of group knowledge,
             // so later observer timing never shifts the stream.
@@ -498,16 +625,25 @@ impl Driver {
             let _ = self.session_rng.next_u64();
             return (Vec::new(), Vec::new());
         }
-        let a = self.session_rng.below(self.group_count);
-        let b = self.session_rng.below(self.group_count);
         // podium-lint: allow(as-cast) — group ids are u32 by the dense-id construction
-        let must_have = vec![a as u32];
-        let must_not = if b == a {
+        let a = self.session_rng.below(self.group_count) as u32;
+        // podium-lint: allow(as-cast) — group ids are u32 by the dense-id construction
+        let b = self.session_rng.below(self.group_count) as u32;
+        let Some(state) = self.sessions.get_mut(&sid) else {
+            return (Vec::new(), Vec::new());
+        };
+        let must_have = if state.must_not.contains(&a) {
             Vec::new()
         } else {
-            // podium-lint: allow(as-cast) — group ids are u32 by the dense-id construction
-            vec![b as u32]
+            vec![a]
         };
+        let must_not = if b == a || state.must_have.contains(&b) {
+            Vec::new()
+        } else {
+            vec![b]
+        };
+        state.must_have.extend(&must_have);
+        state.must_not.extend(&must_not);
         (must_have, must_not)
     }
 
@@ -556,31 +692,28 @@ impl Driver {
         trace_pairs.push(("request".to_owned(), Value::String(line.clone())));
         self.push_row(true, Value::Object(trace_pairs));
         self.trace_seq += 1;
+        self.request(vt_us, op, &line)
+    }
 
-        // podium-lint: allow(determinism-hygiene) — wall-clock latency segregates into requests.jsonl latency fields, excluded from the replay diff
-        let started = Instant::now();
-        let result = self.transport.call(&line);
-        let latency_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-
+    /// Sends one `op` request line and logs its request-log row (no
+    /// trace row). Returns the response object as [`Driver::emit`] does.
+    fn request(&mut self, vt_us: u64, op: &'static str, line: &str) -> Option<Value> {
+        let (latency_us, result) = self.transport.call(line);
         let (outcome, response) = match result {
             Ok(value) => (outcome_tag(&value), Some(value)),
             Err(e) => (e.tag().to_owned(), None),
         };
         *self.by_op.entry(op).or_insert(0) += 1;
         *self.outcomes.entry(outcome.clone()).or_insert(0) += 1;
-        self.latencies_us.entry(op).or_default().push(latency_us);
 
-        let mut request_pairs = vec![
-            (
-                "schema".to_owned(),
-                Value::String(REQUESTS_SCHEMA.to_owned()),
-            ),
-            ("seq".to_owned(), num_u64(self.request_seq)),
-            ("vt_us".to_owned(), num_u64(vt_us)),
-            ("op".to_owned(), Value::String(op.to_owned())),
-            ("outcome".to_owned(), Value::String(outcome)),
-            ("latency_us".to_owned(), num_u64(latency_us)),
-        ];
+        let mut request_pairs = Vec::new();
+        if let (Some(r), "stats") = (&response, op) {
+            for field in STATS_COUNTERS {
+                if let Some(v) = r.get(field) {
+                    request_pairs.push((field, v.clone()));
+                }
+            }
+        }
         if let Some(epoch) = response
             .as_ref()
             .and_then(|r| r.get("epoch"))
@@ -590,16 +723,80 @@ impl Driver {
             // epoch the driver has seen so far (before merging this one).
             let staleness = self.max_epoch.saturating_sub(epoch);
             self.max_epoch = self.max_epoch.max(epoch);
-            request_pairs.push(("epoch".to_owned(), num_u64(epoch)));
+            request_pairs.push(("epoch", num_u64(epoch)));
             if matches!(op, "select" | "refine") {
-                request_pairs.push(("staleness".to_owned(), num_u64(staleness)));
+                request_pairs.push(("staleness", num_u64(staleness)));
                 self.max_staleness = self.max_staleness.max(staleness);
                 self.staleness_sum += staleness;
             }
         }
-        self.push_row(false, Value::Object(request_pairs));
-        self.request_seq += 1;
+        self.log_request(vt_us, op, &outcome, latency_us, request_pairs);
         response
+    }
+
+    /// Appends one request-log row: the fields every row carries, then
+    /// `extra`.
+    fn log_request(
+        &mut self,
+        vt_us: u64,
+        op: &str,
+        outcome: &str,
+        latency_us: u64,
+        extra: Vec<(&str, Value)>,
+    ) {
+        let mut pairs = vec![
+            ("schema", Value::String(REQUESTS_SCHEMA.to_owned())),
+            ("seq", num_u64(self.request_seq)),
+            ("vt_us", num_u64(vt_us)),
+            ("op", Value::String(op.to_owned())),
+            ("outcome", Value::String(outcome.to_owned())),
+            ("latency_us", num_u64(latency_us)),
+        ];
+        pairs.extend(extra);
+        let pairs = pairs
+            .into_iter()
+            .map(|(key, value)| (key.to_owned(), value));
+        self.push_row(false, Value::Object(pairs.collect()));
+        self.request_seq += 1;
+    }
+
+    /// Appends the closed-loop clients' requests to the request log, in
+    /// client order after the event loop's rows, then one `client-health`
+    /// row per client that has a breaker (TCP), at the horizon `end_us`.
+    fn log_clients(&mut self, end_us: u64, runs: &[ClientRun]) {
+        for (client, run) in (0u64..).zip(runs) {
+            for sample in &run.samples {
+                let mut extra = Vec::with_capacity(2);
+                if let Some(epoch) = sample.epoch {
+                    extra.push(("epoch", num_u64(epoch)));
+                }
+                extra.push(("client", num_u64(client)));
+                self.log_request(
+                    sample.sent_us,
+                    "select",
+                    &sample.outcome,
+                    sample.latency_us,
+                    extra,
+                );
+            }
+        }
+        for (client, run) in (0u64..).zip(runs) {
+            let Some(health) = run.health else { continue };
+            let extra = vec![
+                ("client", num_u64(client)),
+                ("state", Value::String(health.state.as_str().to_owned())),
+                (
+                    "consecutive_failures",
+                    num_u64(u64::from(health.consecutive_failures)),
+                ),
+                (
+                    "last_transition_epoch",
+                    num_u64(health.last_transition_epoch),
+                ),
+                ("last_seen_epoch", num_u64(health.last_seen_epoch)),
+            ];
+            self.log_request(end_us, "client-health", "ok", 0, extra);
+        }
     }
 
     fn push_row(&mut self, trace: bool, row: Value) {
@@ -660,8 +857,16 @@ impl Driver {
         ])
     }
 
-    /// Wall-clock summary for stdout; never part of the rollup.
-    fn human_summary(&self, options: &SimOptions, wall_s: f64) -> String {
+    /// Wall-clock summary for stdout; never part of the rollup: the run
+    /// line, the dashboard's simulator section over this run's logs, and
+    /// the event loop's state at the horizon. Returns the summary and
+    /// that section.
+    fn human_summary(
+        &self,
+        options: &SimOptions,
+        wall_s: f64,
+        logs: &[JsonlStream],
+    ) -> (String, Value) {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
@@ -680,23 +885,10 @@ impl Driver {
                 0.0
             },
         );
-        for (op, lats) in &self.latencies_us {
-            let (p50, p99) = percentiles(lats);
-            let _ = writeln!(
-                out,
-                "  {op:<15} n={:<6} p50={p50}us p99={p99}us",
-                lats.len()
-            );
-        }
-        let outcomes: Vec<String> = self
-            .outcomes
-            .iter()
-            .map(|(tag, n)| format!("{tag} {n}"))
-            .collect();
-        let _ = writeln!(out, "  outcomes: {}", outcomes.join(", "));
+        let dashboard = crate::report::sim_section(logs, &mut out).unwrap_or(Value::Null);
         let _ = writeln!(
             out,
-            "  epoch {} | max staleness {} | sessions {}/{} completed | users +{} -{}",
+            "epoch {} | max staleness {} | sessions {}/{} completed | users +{} -{}",
             self.max_epoch,
             self.max_staleness,
             self.sessions_completed,
@@ -704,7 +896,7 @@ impl Driver {
             self.users_created,
             self.users_churned,
         );
-        out
+        (out, dashboard)
     }
 }
 
@@ -723,18 +915,12 @@ fn observer_gap_us(rate_hz: f64) -> u64 {
     }
 }
 
-/// `(p50, p99)` of a latency sample by nearest-rank.
+/// `(p50, p99)` of a latency sample by floor rank
+/// ([`rank_percentile`]).
 pub fn percentiles(samples: &[u64]) -> (u64, u64) {
-    if samples.is_empty() {
-        return (0, 0);
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    let rank = |q: usize| -> u64 {
-        let idx = (sorted.len().saturating_sub(1)) * q / 100;
-        sorted.get(idx).copied().unwrap_or(0)
-    };
-    (rank(50), rank(99))
+    (rank_percentile(&sorted, 50), rank_percentile(&sorted, 99))
 }
 
 fn op_tag(request: &Request) -> &'static str {
@@ -832,6 +1018,176 @@ mod tests {
         assert!(saw_staleness_field, "selects must report staleness");
     }
 
+    /// A small closed-loop scenario: two clients for 0.3 s while drift
+    /// moves a bucket on every step.
+    const CLOSED_LOOP: &str = r#"{
+        "schema": "podium.scenario/1",
+        "name": "closed-loop",
+        "duration_s": 0.3,
+        "clients": 2,
+        "population": {"users": 200, "properties": 8, "scores_per_user": 3},
+        "drift": {"rate_hz": 20.0, "matrix": [[0,0.5,0.5],[0.5,0,0.5],[0.5,0.5,0]]},
+        "session": {"budget": 5},
+        "observer": {"rate_hz": 20.0},
+        "service": {"workers": 2, "queue_capacity": 64, "deadline_ms": 2000}
+    }"#;
+
+    fn closed_loop(transport: TransportSpec, deployment: &Deployment) -> (SimOutput, Value) {
+        let scenario = parse_scenario(CLOSED_LOOP).unwrap();
+        let options = SimOptions { seed: 7, transport };
+        let out = run_sim_with(&scenario, &options, deployment).unwrap();
+        let sim = out.dashboard.clone();
+        (out, sim)
+    }
+
+    /// The request-log rows of `op`.
+    fn rows_of_op(out: &SimOutput, op: &str) -> Vec<Value> {
+        out.requests
+            .lines()
+            .map(|l| serde_json::from_str::<Value>(l).unwrap())
+            .filter(|row| row.get("op").and_then(Value::as_str) == Some(op))
+            .collect()
+    }
+
+    fn assert_clean(out: &SimOutput, sim: &Value) {
+        let count = |key: &str| sim.get(key).and_then(Value::as_u64).unwrap();
+        assert!(count("served") > 0, "no client select served: {sim:?}");
+        assert_eq!(count("failed"), 0, "{sim:?}");
+        assert_eq!(count("inconsistent"), 0, "{sim:?}");
+        assert!(
+            out.human.contains(
+                "failed 0 (deadline 0, transport 0, other 0), overloaded 0, inconsistent 0"
+            ),
+            "{}",
+            out.human
+        );
+        // Client requests reach the request log only.
+        let client_selects = rows_of_op(out, "select")
+            .into_iter()
+            .filter(|row| row.get("client").is_some())
+            .count();
+        assert_eq!(u64::try_from(client_selects).unwrap(), count("served"));
+        assert!(!out.trace.contains("\"client\":"));
+        assert_eq!(
+            out.rollup.get("requests").and_then(Value::as_u64),
+            u64::try_from(out.trace.lines().count()).ok(),
+            "the rollup counts the event loop's requests only"
+        );
+        // The closing stats reading covers every client select.
+        assert!(
+            count("cache_hits") + count("cache_misses") >= count("served"),
+            "every served select passed through the cache: {sim:?}"
+        );
+    }
+
+    #[test]
+    fn closed_loop_inproc_run_is_clean() {
+        let (out, sim) = closed_loop(TransportSpec::Inproc, &Deployment::default());
+        assert_clean(&out, &sim);
+        assert!(sim.get("throughput_rps").and_then(Value::as_f64).unwrap() > 0.0);
+        let (p50, p99) = (sim.get("p50_us"), sim.get("p99_us"));
+        assert!(p50.and_then(Value::as_u64) <= p99.and_then(Value::as_u64));
+        assert!(
+            !out.human.contains("client breakers:"),
+            "in-process clients have no breaker: {}",
+            out.human
+        );
+        let final_epoch = out.rollup.get("final_epoch").and_then(Value::as_u64);
+        assert!(final_epoch > Some(0), "drift published");
+    }
+
+    #[test]
+    fn closed_loop_tcp_run_is_clean() {
+        let (out, sim) = closed_loop(TransportSpec::Tcp { chaos: false }, &Deployment::default());
+        assert_clean(&out, &sim);
+        assert!(
+            out.human.contains("client breakers: closed, closed\n"),
+            "{}",
+            out.human
+        );
+    }
+
+    #[test]
+    fn durable_tcp_run_recovers_to_its_final_epoch() {
+        let dir = std::env::temp_dir().join(format!(
+            "podium-sim-durable-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let deployment = Deployment {
+            publish_mode: PublishMode::Incremental,
+            durability: Some(DurabilityOptions::new(&dir)),
+        };
+        let (out, sim) = closed_loop(TransportSpec::Tcp { chaos: false }, &deployment);
+        assert_clean(&out, &sim);
+        let count = |key: &str| sim.get(key).and_then(Value::as_u64).unwrap();
+        assert!(count("wal_bytes") > 0, "{sim:?}");
+        assert!(sim.get("recovery_ms").and_then(Value::as_f64).unwrap() > 0.0);
+        // Every update publishes one epoch, so the last acknowledged
+        // update names the run's final epoch.
+        let updates: Vec<Value> = rows_of_op(&out, "update-profile")
+            .into_iter()
+            .filter(|row| row.get("outcome").and_then(Value::as_str) == Some("ok"))
+            .collect();
+        let final_epoch = updates.last().and_then(|row| row.get("epoch")?.as_u64());
+        assert!(final_epoch > Some(0), "drift published: {sim:?}");
+        assert_eq!(
+            Some(count("recovered_epoch")),
+            final_epoch,
+            "an always-fsync run recovers to its final epoch: {sim:?}"
+        );
+        assert!(out.human.contains("durable: wal "), "{}", out.human);
+        assert!(
+            out.human.contains("client breakers: closed, closed\n"),
+            "{}",
+            out.human
+        );
+        // Each client's final health is in the request log. Clients learn
+        // the epoch from response payloads, so they only see a non-zero
+        // epoch if an update published *before* their last response was
+        // generated. On a loaded machine the sole update of a short window
+        // can land after every client response — tolerate exactly that
+        // race, and nothing else.
+        let health = rows_of_op(&out, "client-health");
+        assert_eq!(health.len(), 2, "{}", out.requests);
+        for row in &health {
+            assert_eq!(row.get("state").and_then(Value::as_str), Some("closed"));
+            assert_eq!(
+                row.get("consecutive_failures").and_then(Value::as_u64),
+                Some(0)
+            );
+            assert!(
+                row.get("last_seen_epoch").and_then(Value::as_u64) > Some(0) || updates.len() == 1,
+                "{row:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn steady_refines_never_contradict_their_session() {
+        // Sessions refine twice; a group sent as must_have in the first
+        // refine must not come back as must_not in the second (the server
+        // answers that with a `core` error).
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/sim_steady.json");
+        let scenario = parse_scenario(&std::fs::read_to_string(path).unwrap()).unwrap();
+        for seed in [701, 42] {
+            let out = run_sim(
+                &scenario,
+                &SimOptions {
+                    seed,
+                    transport: TransportSpec::Inproc,
+                },
+            )
+            .unwrap();
+            let outcomes = out.rollup.get("outcomes").unwrap();
+            let ok = outcomes.get("ok").and_then(Value::as_u64).unwrap_or(0);
+            let total = out.rollup.get("requests").and_then(Value::as_u64).unwrap();
+            assert_eq!(ok, total, "seed {seed}: {outcomes:?}");
+        }
+    }
+
     #[test]
     fn percentile_edges() {
         assert_eq!(percentiles(&[]), (0, 0));
@@ -840,5 +1196,9 @@ mod tests {
         let (p50, p99) = percentiles(&many);
         assert_eq!(p50, 50);
         assert_eq!(p99, 99);
+        // A full publish-stats ring (512 samples): the floor rank picks
+        // indices 255 and 505 where a rounded rank would pick 256 and 506.
+        let ring: Vec<u64> = (0..512).rev().collect();
+        assert_eq!(percentiles(&ring), (255, 505));
     }
 }

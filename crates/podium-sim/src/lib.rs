@@ -14,22 +14,29 @@
 //! * [`population`] — the synthetic population and its per-(user,
 //!   property) Markov bucket states, mirrored into the repository;
 //! * [`transport`] — how generated requests reach the real service:
-//!   in-process, Unix socket, or TCP via [`podium_service::client::PodiumClient`]
-//!   (optionally through the virtual-clock chaos proxy);
+//!   one endpoint per run (in-process, Unix socket, or TCP via
+//!   [`podium_service::client::PodiumClient`], optionally through the
+//!   virtual-clock chaos proxy) that every party connects to, plus the
+//!   one classifier of request outcomes by failure cause;
+//! * [`clients`] — closed-loop clients: threads that send `select`
+//!   back-to-back for the whole run (the throughput scenario), and the
+//!   wall-clock pacing of the event loop while they run;
 //! * [`driver`] — the simulation loop: pops events, emits real
 //!   protocol requests, records the event trace (byte-identical per
 //!   seed), the per-request latency/outcome/staleness log, and a
-//!   deterministic rollup;
+//!   deterministic rollup; with a [`driver::Deployment`] it also runs
+//!   the service durable or under a chosen publish mode;
 //! * [`stream`] — schema-validated JSONL ingestion with typed errors
 //!   (mixed versions and non-monotone sequence numbers are rejected,
 //!   not panicked over);
-//! * [`report`] — the unified dashboard: one pass over bench-serve,
-//!   experiment-status, lint, and simulator streams, producing a
-//!   human-readable dashboard plus the machine `BENCH_*.json` rollup.
+//! * [`report`] — the unified dashboard: one pass over experiment-status,
+//!   lint, and simulator streams, producing a human-readable dashboard
+//!   plus the machine `BENCH_*.json` rollup.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod clients;
 pub mod driver;
 pub mod events;
 pub mod population;
@@ -39,7 +46,7 @@ pub mod scenario;
 pub mod stream;
 pub mod transport;
 
-pub use driver::{run_sim, SimOptions, SimOutput};
+pub use driver::{run_sim, run_sim_with, Deployment, SimOptions, SimOutput};
 pub use scenario::{parse_scenario, Scenario};
 pub use stream::{read_streams, StreamError};
 pub use transport::TransportSpec;

@@ -9,6 +9,7 @@
 
 use podium_core::bucket::{BucketStrategy, BucketingConfig, PropertyBuckets};
 use podium_core::profile::UserRepository;
+use podium_data::synth::assigned_property;
 
 use crate::rng::SimRng;
 use crate::scenario::Scenario;
@@ -64,13 +65,6 @@ impl Population {
         self.active.push(idx);
         idx
     }
-}
-
-/// The property assignment window used by the bench: rotate so every
-/// property ends up populated.
-pub fn assigned_property(user_ordinal: usize, slot: usize, properties: usize, spu: usize) -> usize {
-    let stride = (properties / spu.max(1)).max(1);
-    (user_ordinal + slot * stride) % properties.max(1)
 }
 
 /// Builds the initial repository plus the simulator's mirror of it, and

@@ -1,21 +1,25 @@
 //! The unified observability dashboard: one pass over every stream the
 //! workspace emits.
 //!
-//! `podium sim report` feeds this module bench-serve rows, experiment
-//! harness status rows, podium-lint findings, and simulator
-//! trace/request logs — in any combination — and gets back two views of
-//! the same aggregation:
+//! `podium sim report` feeds this module experiment harness status rows,
+//! podium-lint findings, and simulator trace/request logs — in any
+//! combination — and gets back two views of the same aggregation:
 //!
 //! * a human text dashboard, sectioned per stream kind, and
 //! * a machine rollup (`podium.dashboard-rollup/1`) checked in as
-//!   `BENCH_8.json`: req/s and p50/p99 per op, failure breakdown, cache
-//!   hit rate, WAL/recovery stats, and the lint suppression-debt count.
+//!   `BENCH_8.json`: closed-loop req/s and p50/p99, per-op percentiles,
+//!   the failure breakdown, cache hit rate, publish latency, WAL/recovery
+//!   stats, and the lint suppression-debt count.
 //!
 //! Aggregation rules are deliberately simple and documented here so the
-//! numbers are auditable: bench-serve headline stats come from the row
-//! with the highest `seq` (the newest run) while failure counters sum
-//! over all rows; experiment and lint sections count rows; the sim
-//! section recomputes latency percentiles from the raw request log.
+//! numbers are auditable: experiment and lint sections count rows; the
+//! sim section recomputes everything from the raw request logs. Its
+//! headline comes from one run — the last log with closed-loop client
+//! rows, else the last log: req/s is that run's `ok` client selects over
+//! its window, service counters come from its newest `stats` row, client
+//! breaker states from its `client-health` rows and durability figures
+//! from its newest `recovery` row. Failure counters and per-op
+//! percentiles cover every row of every log.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,6 +29,7 @@ use serde_json::Value;
 
 use crate::driver::percentiles;
 use crate::stream::{JsonlStream, StreamKind};
+use crate::transport::Tally;
 
 /// Schema tag of the machine rollup this module produces.
 pub const DASHBOARD_SCHEMA: &str = "podium.dashboard-rollup/1";
@@ -57,7 +62,6 @@ pub fn render(streams: &[JsonlStream], previous: Option<&Value>) -> (String, Val
     let _ = writeln!(human, "==== podium dashboard ====");
     let mut source_pairs: Vec<(String, Value)> = Vec::new();
     for kind in [
-        StreamKind::BenchServe,
         StreamKind::ExperimentStatus,
         StreamKind::Lint,
         StreamKind::SimTrace,
@@ -82,9 +86,6 @@ pub fn render(streams: &[JsonlStream], previous: Option<&Value>) -> (String, Val
     }
     rollup.push(("sources".to_owned(), Value::Object(source_pairs)));
 
-    if let Some(section) = bench_serve_section(streams, &mut human) {
-        rollup.push(("bench_serve".to_owned(), section));
-    }
     if let Some(section) = experiments_section(streams, &mut human) {
         rollup.push(("experiments".to_owned(), section));
     }
@@ -113,110 +114,6 @@ fn get_u64(row: &Value, key: &str) -> u64 {
 
 fn get_f64(row: &Value, key: &str) -> f64 {
     row.get(key).and_then(Value::as_f64).unwrap_or(0.0)
-}
-
-/// Serving health: headline stats from the newest row (highest `seq`),
-/// failure counters summed over every row.
-fn bench_serve_section(streams: &[JsonlStream], human: &mut String) -> Option<Value> {
-    let rows = rows_of(streams, StreamKind::BenchServe);
-    let latest = rows.iter().max_by_key(|r| get_u64(r, "seq"))?;
-
-    let mut failed = 0u64;
-    let mut failed_deadline = 0u64;
-    let mut failed_transport = 0u64;
-    let mut failed_other = 0u64;
-    let mut overloaded = 0u64;
-    let mut inconsistent = 0u64;
-    let mut served = 0u64;
-    for row in &rows {
-        served += get_u64(row, "served");
-        failed += get_u64(row, "failed");
-        failed_deadline += get_u64(row, "failed_deadline");
-        failed_transport += get_u64(row, "failed_transport");
-        failed_other += get_u64(row, "failed_other");
-        overloaded += get_u64(row, "overloaded");
-        inconsistent += get_u64(row, "inconsistent");
-    }
-    let cache_hits = get_u64(latest, "cache_hits");
-    let cache_misses = get_u64(latest, "cache_misses");
-    let cache_total = cache_hits + cache_misses;
-    let cache_hit_rate = if cache_total > 0 {
-        // podium-lint: allow(as-cast) — cache counters are far below 2^53
-        cache_hits as f64 / cache_total as f64
-    } else {
-        0.0
-    };
-
-    let _ = writeln!(human, "\n-- serving (bench-serve) --");
-    let _ = writeln!(
-        human,
-        "latest run: {:.1} req/s, p50 {}us p99 {}us over {}",
-        get_f64(latest, "throughput_rps"),
-        get_u64(latest, "p50_us"),
-        get_u64(latest, "p99_us"),
-        latest
-            .get("transport")
-            .and_then(Value::as_str)
-            .unwrap_or("?"),
-    );
-    let _ = writeln!(
-        human,
-        "all runs:   served {served}, failed {failed} (deadline {failed_deadline}, transport {failed_transport}, other {failed_other}), overloaded {overloaded}, inconsistent {inconsistent}"
-    );
-    let _ = writeln!(
-        human,
-        "cache:      {:.1}% hit rate ({cache_hits}/{cache_total}); wal {} bytes, checkpoint epoch {}, recovery {:.1} ms to epoch {}",
-        cache_hit_rate * 100.0,
-        get_u64(latest, "wal_bytes"),
-        get_u64(latest, "last_checkpoint_epoch"),
-        get_f64(latest, "recovery_ms"),
-        get_u64(latest, "recovered_epoch"),
-    );
-
-    Some(Value::Object(vec![
-        (
-            "rows".to_owned(),
-            num_u64(u64::try_from(rows.len()).unwrap_or(u64::MAX)),
-        ),
-        (
-            "throughput_rps".to_owned(),
-            num_f64(get_f64(latest, "throughput_rps")),
-        ),
-        ("p50_us".to_owned(), num_u64(get_u64(latest, "p50_us"))),
-        ("p99_us".to_owned(), num_u64(get_u64(latest, "p99_us"))),
-        ("served".to_owned(), num_u64(served)),
-        ("failed".to_owned(), num_u64(failed)),
-        ("failed_deadline".to_owned(), num_u64(failed_deadline)),
-        ("failed_transport".to_owned(), num_u64(failed_transport)),
-        ("failed_other".to_owned(), num_u64(failed_other)),
-        ("overloaded".to_owned(), num_u64(overloaded)),
-        ("inconsistent".to_owned(), num_u64(inconsistent)),
-        ("cache_hit_rate".to_owned(), num_f64(cache_hit_rate)),
-        (
-            "wal_bytes".to_owned(),
-            num_u64(get_u64(latest, "wal_bytes")),
-        ),
-        (
-            "last_checkpoint_epoch".to_owned(),
-            num_u64(get_u64(latest, "last_checkpoint_epoch")),
-        ),
-        (
-            "recovery_ms".to_owned(),
-            num_f64(get_f64(latest, "recovery_ms")),
-        ),
-        (
-            "recovered_epoch".to_owned(),
-            num_u64(get_u64(latest, "recovered_epoch")),
-        ),
-        (
-            "publish_p50_us".to_owned(),
-            num_u64(get_u64(latest, "publish_p50_us")),
-        ),
-        (
-            "publish_p99_us".to_owned(),
-            num_u64(get_u64(latest, "publish_p99_us")),
-        ),
-    ]))
 }
 
 /// Experiment sweep health: outcome counts and which experiments failed.
@@ -359,37 +256,129 @@ fn num_i64(n: i64) -> Value {
     }
 }
 
-/// Simulator section: per-op latency percentiles and outcome breakdown
-/// recomputed from the raw request log; trace rows counted if present.
-fn sim_section(streams: &[JsonlStream], human: &mut String) -> Option<Value> {
-    let requests = rows_of(streams, StreamKind::SimRequests);
+/// Simulator section: the closed-loop headline, failure breakdown,
+/// service counters, durability figures, and per-op latency percentiles,
+/// all recomputed from the raw request logs; trace rows counted if
+/// present. `sim run` prints it for its own logs.
+pub(crate) fn sim_section(streams: &[JsonlStream], human: &mut String) -> Option<Value> {
+    let logs: Vec<&JsonlStream> = streams
+        .iter()
+        .filter(|s| s.kind == StreamKind::SimRequests)
+        .collect();
+    let request_rows: usize = logs.iter().map(|s| s.rows.len()).sum();
     let trace_rows = rows_of(streams, StreamKind::SimTrace).len();
-    if requests.is_empty() && trace_rows == 0 {
+    if request_rows == 0 && trace_rows == 0 {
         return None;
     }
     let mut per_op: BTreeMap<String, OpStats> = BTreeMap::new();
     let mut outcomes: BTreeMap<String, u64> = BTreeMap::new();
-    for row in &requests {
-        let op = row.get("op").and_then(Value::as_str).unwrap_or("?");
-        let outcome = row.get("outcome").and_then(Value::as_str).unwrap_or("?");
-        let stats = per_op.entry(op.to_owned()).or_default();
-        stats.count += 1;
-        if outcome == "ok" {
-            stats.ok += 1;
-        } else {
-            stats.failed += 1;
+    let mut tally = Tally::default();
+    for log in &logs {
+        for row in &log.rows {
+            let op = row.get("op").and_then(Value::as_str).unwrap_or("?");
+            let outcome = row.get("outcome").and_then(Value::as_str).unwrap_or("?");
+            let latency_us = get_u64(row, "latency_us");
+            let stats = per_op.entry(op.to_owned()).or_default();
+            stats.count += 1;
+            if outcome == "ok" {
+                stats.ok += 1;
+            } else {
+                stats.failed += 1;
+            }
+            stats.latencies_us.push(latency_us);
+            stats.max_staleness = stats.max_staleness.max(get_u64(row, "staleness"));
+            *outcomes.entry(outcome.to_owned()).or_insert(0) += 1;
+            tally.add(outcome, 1);
         }
-        stats.latencies_us.push(get_u64(row, "latency_us"));
-        stats.max_staleness = stats.max_staleness.max(get_u64(row, "staleness"));
-        *outcomes.entry(outcome.to_owned()).or_insert(0) += 1;
     }
+    // The headline run: the last log with closed-loop clients, else the
+    // last log. Its window ends at its last client completion.
+    let is_client = |row: &&Value| row.get("client").is_some();
+    let headline = logs
+        .iter()
+        .rev()
+        .find(|log| log.rows.iter().any(|row| is_client(&row)))
+        .or(logs.last())
+        .map_or(&[] as &[Value], |log| log.rows.as_slice());
+    let of_op = |op: &'static str| {
+        headline
+            .iter()
+            .filter(move |row| row.get("op").and_then(Value::as_str) == Some(op))
+    };
+    let client_rows = || of_op("select").filter(is_client);
+    let client_ok_us: Vec<u64> = client_rows()
+        .filter(|row| row.get("outcome").and_then(Value::as_str) == Some("ok"))
+        .map(|row| get_u64(row, "latency_us"))
+        .collect();
+    let window_us = client_rows()
+        .map(|row| get_u64(row, "vt_us").saturating_add(get_u64(row, "latency_us")))
+        .max()
+        .unwrap_or(0);
+    let breakers: Vec<&str> = of_op("client-health")
+        .map(|row| row.get("state").and_then(Value::as_str).unwrap_or("?"))
+        .collect();
+    let latest_stats = of_op("stats").next_back();
+    let latest_recovery = of_op("recovery").next_back();
+    let queue_depth_max = of_op("stats")
+        .map(|row| get_u64(row, "queue_depth"))
+        .max()
+        .unwrap_or(0);
+    let served = u64::try_from(client_ok_us.len()).unwrap_or(u64::MAX);
+    let window_s = std::time::Duration::from_micros(window_us).as_secs_f64();
+    let throughput_rps = if window_s > 0.0 {
+        // podium-lint: allow(as-cast) — request counts are far below 2^53
+        served as f64 / window_s
+    } else {
+        0.0
+    };
+    let counter = |key: &str| latest_stats.map_or(0, |row| get_u64(row, key));
+    let (cache_hits, cache_misses) = (counter("cache_hits"), counter("cache_misses"));
+    let cache_total = cache_hits + cache_misses;
+    let cache_hit_rate = if cache_total > 0 {
+        // podium-lint: allow(as-cast) — cache counters are far below 2^53
+        cache_hits as f64 / cache_total as f64
+    } else {
+        0.0
+    };
+    let durable = |key: &str| latest_recovery.map_or(0, |row| get_u64(row, key));
+    let recovery_ms =
+        std::time::Duration::from_micros(durable("latency_us")).as_secs_f64() * 1_000.0;
+    let (p50, p99) = percentiles(&client_ok_us);
+
     let _ = writeln!(human, "\n-- simulator --");
     let _ = writeln!(
         human,
-        "{} request(s), {} trace event(s)",
-        requests.len(),
-        trace_rows
+        "{request_rows} request(s), {trace_rows} trace event(s)"
     );
+    if served > 0 {
+        let _ = writeln!(
+            human,
+            "closed loop: {throughput_rps:.1} req/s, p50 {p50}us p99 {p99}us over {served} ok client select(s)"
+        );
+    }
+    let _ = writeln!(human, "{}", tally.line());
+    if !breakers.is_empty() {
+        let _ = writeln!(human, "client breakers: {}", breakers.join(", "));
+    }
+    if latest_stats.is_some() {
+        let _ = writeln!(
+            human,
+            "cache: {:.1}% hit rate ({cache_hits}/{cache_total}); {} publishes, publish p50 {}us p99 {}us; max queue depth {queue_depth_max}",
+            cache_hit_rate * 100.0,
+            counter("publishes"),
+            counter("publish_p50_micros"),
+            counter("publish_p99_micros"),
+        );
+    }
+    if latest_recovery.is_some() {
+        let _ = writeln!(
+            human,
+            "durable: wal {} bytes, last checkpoint epoch {}; cold recovery {recovery_ms:.1} ms to epoch {}",
+            durable("wal_bytes"),
+            durable("last_checkpoint_epoch"),
+            durable("epoch")
+        );
+    }
     let mut op_pairs: Vec<(String, Value)> = Vec::new();
     for (op, stats) in &per_op {
         let (p50, p99) = percentiles(&stats.latencies_us);
@@ -416,18 +405,42 @@ fn sim_section(streams: &[JsonlStream], human: &mut String) -> Option<Value> {
     }
     let outcome_pairs: Vec<(String, Value)> =
         outcomes.into_iter().map(|(t, n)| (t, num_u64(n))).collect();
-    Some(Value::Object(vec![
+    let rows = |n: usize| num_u64(u64::try_from(n).unwrap_or(u64::MAX));
+    let fields: Vec<(&str, Value)> = vec![
+        ("requests", rows(request_rows)),
+        ("trace_events", rows(trace_rows)),
+        ("throughput_rps", num_f64(throughput_rps)),
+        ("window_s", num_f64(window_s)),
+        ("p50_us", num_u64(p50)),
+        ("p99_us", num_u64(p99)),
+        ("served", num_u64(served)),
+        ("failed", num_u64(tally.failed())),
+        ("failed_deadline", num_u64(tally.deadline)),
+        ("failed_transport", num_u64(tally.transport)),
+        ("failed_other", num_u64(tally.other)),
+        ("overloaded", num_u64(tally.overloaded)),
+        ("inconsistent", num_u64(tally.inconsistent)),
+        ("cache_hits", num_u64(cache_hits)),
+        ("cache_misses", num_u64(cache_misses)),
+        ("cache_hit_rate", num_f64(cache_hit_rate)),
+        ("publishes", num_u64(counter("publishes"))),
+        ("publish_p50_us", num_u64(counter("publish_p50_micros"))),
+        ("publish_p99_us", num_u64(counter("publish_p99_micros"))),
+        ("queue_depth_max", num_u64(queue_depth_max)),
+        ("wal_bytes", num_u64(durable("wal_bytes"))),
         (
-            "requests".to_owned(),
-            num_u64(u64::try_from(requests.len()).unwrap_or(u64::MAX)),
+            "last_checkpoint_epoch",
+            num_u64(durable("last_checkpoint_epoch")),
         ),
-        (
-            "trace_events".to_owned(),
-            num_u64(u64::try_from(trace_rows).unwrap_or(u64::MAX)),
-        ),
-        ("per_op".to_owned(), Value::Object(op_pairs)),
-        ("outcomes".to_owned(), Value::Object(outcome_pairs)),
-    ]))
+        ("recovery_ms", num_f64(recovery_ms)),
+        ("recovered_epoch", num_u64(durable("epoch"))),
+        ("per_op", Value::Object(op_pairs)),
+        ("outcomes", Value::Object(outcome_pairs)),
+    ];
+    let pairs = fields
+        .into_iter()
+        .map(|(key, value)| (key.to_owned(), value));
+    Some(Value::Object(pairs.collect()))
 }
 
 #[cfg(test)]
@@ -435,35 +448,82 @@ mod tests {
     use super::*;
     use crate::stream::parse_stream;
 
-    fn bench_rows() -> JsonlStream {
-        let text = concat!(
-            "{\"schema\":\"podium.bench-serve/1\",\"seq\":0,\"bench\":\"serve\",\"transport\":\"inproc\",\"served\":100,\"failed\":2,\"failed_deadline\":1,\"failed_transport\":1,\"failed_other\":0,\"overloaded\":0,\"inconsistent\":0,\"throughput_rps\":500.0,\"p50_us\":90,\"p99_us\":400,\"cache_hits\":10,\"cache_misses\":10,\"wal_bytes\":0,\"last_checkpoint_epoch\":0,\"recovery_ms\":0.0,\"recovered_epoch\":0,\"publish_p50_us\":5,\"publish_p99_us\":9}\n",
-            "{\"schema\":\"podium.bench-serve/1\",\"seq\":1,\"bench\":\"serve\",\"transport\":\"tcp\",\"served\":200,\"failed\":0,\"failed_deadline\":0,\"failed_transport\":0,\"failed_other\":0,\"overloaded\":0,\"inconsistent\":0,\"throughput_rps\":800.0,\"p50_us\":120,\"p99_us\":900,\"cache_hits\":30,\"cache_misses\":10,\"wal_bytes\":4096,\"last_checkpoint_epoch\":7,\"recovery_ms\":1.5,\"recovered_epoch\":9,\"publish_p50_us\":6,\"publish_p99_us\":11}\n",
-        );
-        parse_stream("bench.jsonl", text).unwrap()
+    /// Two request logs: a durable closed-loop run (two clients, an
+    /// observer, a client-health row, a recovery row) and, after it, an
+    /// event-loop-only run with its own observer and two failures.
+    fn request_logs() -> Vec<JsonlStream> {
+        let serve = parse_stream(
+            "serve/requests.jsonl",
+            concat!(
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":0,\"vt_us\":0,\"op\":\"stats\",\"outcome\":\"ok\",\"latency_us\":20,\"epoch\":0,\"cache_hits\":1,\"cache_misses\":1,\"publishes\":0,\"publish_p50_micros\":0,\"publish_p99_micros\":0,\"queue_depth\":3}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":1,\"vt_us\":500000,\"op\":\"update-profile\",\"outcome\":\"ok\",\"latency_us\":400,\"epoch\":1}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":2,\"vt_us\":900000,\"op\":\"stats\",\"outcome\":\"ok\",\"latency_us\":20,\"epoch\":1,\"cache_hits\":30,\"cache_misses\":10,\"publishes\":1,\"publish_p50_micros\":6,\"publish_p99_micros\":11,\"queue_depth\":1}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":3,\"vt_us\":0,\"op\":\"select\",\"outcome\":\"ok\",\"latency_us\":100,\"epoch\":0,\"client\":0}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":4,\"vt_us\":100,\"op\":\"select\",\"outcome\":\"ok\",\"latency_us\":300,\"epoch\":1,\"client\":0}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":5,\"vt_us\":400,\"op\":\"select\",\"outcome\":\"overloaded\",\"latency_us\":5,\"client\":0}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":6,\"vt_us\":0,\"op\":\"select\",\"outcome\":\"inconsistent\",\"latency_us\":200,\"epoch\":0,\"client\":1}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":7,\"vt_us\":999000,\"op\":\"select\",\"outcome\":\"ok\",\"latency_us\":1000,\"epoch\":1,\"client\":1}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":8,\"vt_us\":1000000,\"op\":\"client-health\",\"outcome\":\"ok\",\"latency_us\":0,\"client\":0,\"state\":\"closed\",\"consecutive_failures\":0,\"last_transition_epoch\":0,\"last_seen_epoch\":1}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":9,\"vt_us\":1000000,\"op\":\"recovery\",\"outcome\":\"ok\",\"latency_us\":1500,\"epoch\":1,\"wal_bytes\":4096,\"last_checkpoint_epoch\":0}\n",
+            ),
+        )
+        .unwrap();
+        let chaos = parse_stream(
+            "chaos/requests.jsonl",
+            concat!(
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":0,\"vt_us\":10,\"op\":\"update-profile\",\"outcome\":\"transport\",\"latency_us\":90}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":1,\"vt_us\":20,\"op\":\"select\",\"outcome\":\"deadline_exceeded\",\"latency_us\":2000}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":2,\"vt_us\":30,\"op\":\"stats\",\"outcome\":\"ok\",\"latency_us\":20,\"epoch\":0,\"cache_hits\":0,\"cache_misses\":9,\"publishes\":0,\"queue_depth\":7}\n",
+            ),
+        )
+        .unwrap();
+        vec![serve, chaos]
     }
 
     #[test]
-    fn bench_serve_headline_is_latest_failures_sum() {
-        let streams = vec![bench_rows()];
-        let (human, rollup) = render(&streams, None);
-        let bench = rollup.get("bench_serve").unwrap();
-        // Headline from seq=1 (the tcp run) …
-        assert_eq!(
-            bench.get("throughput_rps").and_then(Value::as_f64),
-            Some(800.0)
+    fn sim_headline_comes_from_the_request_logs() {
+        let (human, rollup) = render(&request_logs(), None);
+        let sim = rollup.get("sim").unwrap();
+        let num = |key: &str| sim.get(key).and_then(Value::as_f64).unwrap();
+        // The headline run is the closed-loop log even though the other
+        // log comes later: three ok client selects over its window (its
+        // last client completion, 1.0 s).
+        assert_eq!(num("served"), 3.0);
+        assert_eq!(num("window_s"), 1.0);
+        assert!((num("throughput_rps") - 3.0).abs() < 1e-9, "{sim:?}");
+        assert_eq!((num("p50_us"), num("p99_us")), (300.0, 300.0));
+        // Failures summed over every row of both logs.
+        assert_eq!(num("failed"), 2.0);
+        assert_eq!(num("failed_deadline"), 1.0);
+        assert_eq!(num("failed_transport"), 1.0);
+        assert_eq!(num("failed_other"), 0.0);
+        assert_eq!(num("overloaded"), 1.0);
+        assert_eq!(num("inconsistent"), 1.0);
+        // Service counters from the headline run's newest stats row,
+        // queue depth maxed over its stats rows.
+        assert_eq!((num("cache_hits"), num("cache_misses")), (30.0, 10.0));
+        assert_eq!(num("cache_hit_rate"), 0.75);
+        assert_eq!((num("publishes"), num("publish_p50_us")), (1.0, 6.0));
+        assert_eq!(num("publish_p99_us"), 11.0);
+        assert_eq!(num("queue_depth_max"), 3.0);
+        // Durability from the recovery row.
+        assert_eq!(num("wal_bytes"), 4096.0);
+        assert_eq!(num("recovery_ms"), 1.5);
+        assert_eq!(num("recovered_epoch"), 1.0);
+        assert!(human.contains("closed loop: 3.0 req/s"), "{human}");
+        assert!(human.contains("client breakers: closed\n"), "{human}");
+        assert!(
+            human.contains(
+                "failed 2 (deadline 1, transport 1, other 0), overloaded 1, inconsistent 1"
+            ),
+            "{human}"
         );
-        assert_eq!(bench.get("p99_us").and_then(Value::as_u64), Some(900));
-        assert_eq!(bench.get("wal_bytes").and_then(Value::as_u64), Some(4096));
-        // … failure breakdown summed over both runs.
-        assert_eq!(bench.get("served").and_then(Value::as_u64), Some(300));
-        assert_eq!(bench.get("failed").and_then(Value::as_u64), Some(2));
-        assert_eq!(
-            bench.get("cache_hit_rate").and_then(Value::as_f64),
-            Some(0.75)
+        assert!(
+            human.contains(
+                "durable: wal 4096 bytes, last checkpoint epoch 0; cold recovery 1.5 ms to epoch 1"
+            ),
+            "{human}"
         );
-        assert!(human.contains("-- serving (bench-serve) --"), "{human}");
-        assert!(human.contains("800.0 req/s"), "{human}");
     }
 
     #[test]
@@ -493,8 +553,8 @@ mod tests {
         assert_eq!(l.get("suppressed_debt").and_then(Value::as_u64), Some(1));
         assert!(human.contains("drift (panicked)"), "{human}");
         assert!(human.contains("suppression debt"), "{human}");
-        // No bench-serve stream → no bench_serve section.
-        assert!(rollup.get("bench_serve").is_none());
+        // No simulator stream → no sim section.
+        assert!(rollup.get("sim").is_none());
         // Per-rule breakdown: unwrap was denied, index was suppressed.
         let by_rule = l.get("by_rule").unwrap();
         let unwrap_counts = by_rule.get("unwrap").unwrap();
@@ -600,7 +660,7 @@ mod tests {
 
     #[test]
     fn rollup_is_tagged_and_serializable() {
-        let (_, rollup) = render(&[bench_rows()], None);
+        let (_, rollup) = render(&request_logs(), None);
         assert_eq!(
             rollup.get("schema").and_then(Value::as_str),
             Some(DASHBOARD_SCHEMA)

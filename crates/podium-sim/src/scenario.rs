@@ -3,8 +3,9 @@
 //! A scenario is a JSON document (checked in under `configs/`) tagged
 //! `"schema": "podium.scenario/1"` that fixes every stochastic knob of
 //! a simulation: population shape, process rates, the opinion-drift
-//! Markov matrix, session mix, and the service configuration under
-//! test. Together with a `--seed` it fully determines the event trace.
+//! Markov matrix, session mix, closed-loop client count, and the service
+//! configuration under test. Together with a `--seed` it fully
+//! determines the event trace.
 
 use podium_core::engine::{AnnealSchedule, Quota, QuotaBound};
 use serde_json::Value;
@@ -21,7 +22,8 @@ pub struct PopulationSpec {
     pub users: usize,
     /// Distinct properties (`topic-0 … topic-{n-1}`).
     pub properties: usize,
-    /// Scores per user (rotating property window, like the bench).
+    /// Scores per user (the rotating property window of
+    /// [`podium_data::synth::assigned_property`]).
     pub scores_per_user: usize,
 }
 
@@ -105,6 +107,10 @@ pub struct Scenario {
     /// Quota constraints on session selects; `None` when the scenario
     /// has no `constraints` section.
     pub constraints: Option<ConstraintSpec>,
+    /// Closed-loop clients, each sending `select` at `session.budget`
+    /// back-to-back for the whole run. Any client paces the event loop
+    /// to wall-clock time, so rates and `duration_s` become real.
+    pub clients: usize,
 }
 
 fn bad(msg: impl Into<String>) -> SimError {
@@ -256,6 +262,8 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, SimError> {
         }
     };
 
+    let clients = get_usize(&root, "clients", 0)?;
+
     let observer_rate_hz = match section(&root, "observer")? {
         Some(s) => get_f64(s, "rate_hz", 1.0)?,
         None => 1.0,
@@ -307,6 +315,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, SimError> {
         observer_rate_hz,
         service,
         constraints,
+        clients,
     })
 }
 
@@ -561,6 +570,16 @@ mod tests {
         assert_eq!(s.drift.bucket_scores.len(), 3);
         assert_eq!(s.observer_rate_hz, 1.0);
         assert_eq!(s.service.workers, 2);
+        assert_eq!(s.clients, 0, "no clients: an unpaced run");
+    }
+
+    #[test]
+    fn clients_is_a_top_level_count() {
+        let text = MINIMAL.replace("\"duration_s\": 1.0,", "\"duration_s\": 1.0, \"clients\": 3,");
+        assert_eq!(parse_scenario(&text).unwrap().clients, 3);
+        let text = MINIMAL.replace("\"duration_s\": 1.0,", "\"duration_s\": 1.0, \"clients\": -1,");
+        let e = parse_scenario(&text).unwrap_err();
+        assert!(e.to_string().contains("'clients'"), "{e}");
     }
 
     #[test]

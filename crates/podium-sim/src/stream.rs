@@ -12,8 +12,6 @@ use serde_json::Value;
 /// The stream kinds the dashboard understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKind {
-    /// `podium.bench-serve/1` — bench-serve report rows.
-    BenchServe,
     /// `podium.experiment-status/1` — experiment harness status rows.
     ExperimentStatus,
     /// `podium.lint/1` — podium-lint findings.
@@ -28,7 +26,6 @@ impl StreamKind {
     /// The schema tag this build reads for each kind.
     pub fn schema(self) -> &'static str {
         match self {
-            Self::BenchServe => "podium.bench-serve/1",
             Self::ExperimentStatus => "podium.experiment-status/1",
             Self::Lint => "podium.lint/1",
             Self::SimTrace => "podium.sim-trace/1",
@@ -38,7 +35,6 @@ impl StreamKind {
 
     fn from_schema(tag: &str) -> Option<Self> {
         [
-            Self::BenchServe,
             Self::ExperimentStatus,
             Self::Lint,
             Self::SimTrace,
@@ -162,7 +158,6 @@ impl std::error::Error for StreamError {}
 
 fn known_schemas() -> Vec<&'static str> {
     vec![
-        StreamKind::BenchServe.schema(),
         StreamKind::ExperimentStatus.schema(),
         StreamKind::Lint.schema(),
         StreamKind::SimTrace.schema(),
@@ -297,10 +292,10 @@ mod tests {
     fn rejects_mixed_versions_with_typed_error() {
         let text = format!(
             "{}\n{}\n",
-            row("podium.bench-serve/1", 0),
-            row("podium.bench-serve/2", 1)
+            row("podium.sim-requests/1", 0),
+            row("podium.sim-requests/2", 1)
         );
-        let err = parse_stream("b.jsonl", &text).unwrap_err();
+        let err = parse_stream("r.jsonl", &text).unwrap_err();
         match &err {
             StreamError::MixedSchema {
                 line,
@@ -309,8 +304,8 @@ mod tests {
                 ..
             } => {
                 assert_eq!(*line, 2);
-                assert_eq!(expected, "podium.bench-serve/1");
-                assert_eq!(found, "podium.bench-serve/2");
+                assert_eq!(expected, "podium.sim-requests/1");
+                assert_eq!(found, "podium.sim-requests/2");
             }
             other => panic!("expected MixedSchema, got {other:?}"),
         }
@@ -321,7 +316,7 @@ mod tests {
     fn rejects_unknown_schema_naming_known_ones() {
         let err = parse_stream("x.jsonl", &row("podium.mystery/7", 0)).unwrap_err();
         assert!(matches!(err, StreamError::UnknownSchema { .. }));
-        assert!(err.to_string().contains("podium.bench-serve/1"), "{err}");
+        assert!(err.to_string().contains("podium.sim-requests/1"), "{err}");
     }
 
     #[test]
@@ -363,12 +358,13 @@ mod tests {
 
     #[test]
     fn seq_gaps_are_fine_only_regressions_reject() {
-        // bench-serve appends across runs; seq may jump but not regress.
+        // Appended or filtered logs may skip numbers; seq may jump but
+        // not regress.
         let text = format!(
             "{}\n{}\n",
-            row("podium.bench-serve/1", 3),
-            row("podium.bench-serve/1", 10)
+            row("podium.experiment-status/1", 3),
+            row("podium.experiment-status/1", 10)
         );
-        assert!(parse_stream("b.jsonl", &text).is_ok());
+        assert!(parse_stream("s.jsonl", &text).is_ok());
     }
 }

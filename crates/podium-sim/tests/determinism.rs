@@ -63,3 +63,34 @@ fn emitted_streams_round_trip_through_the_dashboard_reader() {
         .expect("request count");
     assert!(n > 0);
 }
+
+#[test]
+fn closed_loop_trace_is_a_function_of_the_seed() {
+    // Closed-loop clients and wall-clock pacing change what the service
+    // is doing while the event loop runs, never what the loop asks.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../configs/serve_smoke.json"
+    );
+    let text = std::fs::read_to_string(path).expect("read configs/serve_smoke.json");
+    let mut scenario = parse_scenario(&text).expect("checked-in scenario parses");
+    assert!(
+        scenario.clients > 0,
+        "serve_smoke is a closed-loop scenario"
+    );
+    scenario.population.users = 300;
+    scenario.duration_s = 0.4;
+    let run = || {
+        run_sim(
+            &scenario,
+            &SimOptions {
+                seed: 701,
+                transport: TransportSpec::Inproc,
+            },
+        )
+        .expect("sim runs")
+    };
+    let (a, b) = (run(), run());
+    assert!(a.trace.lines().count() > 10, "trace too small");
+    assert_eq!(a.trace, b.trace, "closed-loop trace must be byte-identical");
+}

@@ -1,10 +1,10 @@
 //! `podium-cli` — diverse user selection over JSON profile files, plus the
-//! serving-side front-end (`serve`, `bench-serve`, `quarantine`).
+//! serving-side front-end (`serve`, `quarantine`) and the workload
+//! simulator (`sim`).
 //!
 //! See `podium::cli::USAGE` / `podium::service_cli::SERVICE_USAGE` or run
 //! with `--help`.
 
-use std::io::Write as _;
 use std::sync::Arc;
 
 use podium::service_cli::{self, QuarantineCmd};
@@ -24,7 +24,6 @@ fn main() {
     if let Some((cmd, rest)) = argv.split_first() {
         match cmd.as_str() {
             "serve" => run_serve(rest),
-            "bench-serve" => run_bench_serve(rest),
             "quarantine" => run_quarantine(rest),
             "sim" => run_sim(rest),
             _ => run_classic(&argv),
@@ -138,30 +137,6 @@ fn run_serve(argv: &[String]) {
     };
     if let Err(e) = result {
         fail(&format!("serve failed: {e}"));
-    }
-}
-
-fn run_bench_serve(argv: &[String]) {
-    let args = match service_cli::parse_bench_serve_args(argv) {
-        Ok(a) => a,
-        Err(e) => usage_error(&e),
-    };
-    let (human, row) = service_cli::run_bench_serve(&args);
-    print!("{human}");
-    let path = std::path::Path::new(&args.out);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            fail(&format!("cannot create '{}': {e}", dir.display()));
-        }
-    }
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| writeln!(f, "{row}"));
-    match appended {
-        Ok(()) => println!("recorded: {}", args.out),
-        Err(e) => fail(&format!("cannot write '{}': {e}", args.out)),
     }
 }
 

@@ -18,11 +18,11 @@ use podium_core::pipeline::Podium;
 use podium_core::weights::{CovScheme, WeightScheme};
 
 /// CLI usage text for the classic subcommands; the binary appends
-/// [`crate::service_cli::SERVICE_USAGE`] for `serve`, `bench-serve`, and
-/// `quarantine`.
+/// [`crate::service_cli::SERVICE_USAGE`] for `serve` and `quarantine`,
+/// and [`crate::sim_cli::SIM_USAGE`] for `sim`.
 pub const USAGE: &str = "\
 usage: podium-cli <stats|groups|select> --profiles FILE [options]
-       podium-cli <serve|bench-serve|quarantine> [options]
+       podium-cli <serve|quarantine|sim> [options]
 
 options (groups/select):
   --strategy paper|equal-width|quantile|jenks|kmeans|kde|em   bucketing (default quantile)

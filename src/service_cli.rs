@@ -1,5 +1,5 @@
-//! The serving-side subcommands of `podium-cli`: `serve`, `bench-serve`,
-//! and the `quarantine` tool family.
+//! The serving-side subcommands of `podium-cli`: `serve` and the
+//! `quarantine` tool family.
 //!
 //! The classic subcommands (`stats`, `groups`, `select`) live in
 //! [`crate::cli`]; this module hosts the front-end for the
@@ -8,9 +8,6 @@
 //!
 //! * `serve` — load a profile file, build a [`PodiumService`], and serve
 //!   the line-delimited JSON protocol over stdin/stdout or a Unix socket;
-//! * `bench-serve` — closed-loop load generator against an in-process
-//!   service, reporting throughput and latency percentiles as one JSONL
-//!   row;
 //! * `quarantine scan` — lenient-load a document and persist its
 //!   quarantine report;
 //! * `quarantine inspect` — pretty-print a persisted report;
@@ -24,8 +21,6 @@ use std::time::Duration;
 
 use podium_core::rng::unit_float;
 use podium_data::report::{load_report, replay, save_report, ReplayFormat, ReplayStatus};
-use podium_service::bench::{next_row_seq, run_bench_with, BenchConfig, BenchTransport};
-use podium_service::snapshot::PublishMode;
 use podium_service::{
     DurabilityOptions, FsyncPolicy, PodiumService, RecoveryReport, ServiceConfig, TcpServerConfig,
 };
@@ -50,21 +45,6 @@ serving subcommands:
       recovered on restart; --fsync picks the durability/latency
       trade-off and --checkpoint-every the frames between checkpoints
       (0 disables checkpoints).
-  bench-serve [--transport inproc|tcp] [--users N] [--properties N]
-        [--scores-per-user N] [--budget B] [--clients N] [--workers N]
-        [--queue N] [--duration-s SECS] [--update-hz HZ]
-        [--drift-hz HZ] [--publish-mode incremental|full-rebuild]
-        [--deadline-ms MS] [--seed S] [--out FILE] [--data-dir DIR]
-        [--fsync always|batch|off] [--checkpoint-every N]
-      closed-loop load generator over a synthetic repository, either
-      in-process or through a loopback TCP server with the resilient
-      client; appends one JSONL row to --out
-      (default target/bench-serve.jsonl). --drift-hz is the profile-
-      drift alias of --update-hz; with --publish-mode it compares
-      incremental CSR patching against full epoch rebuilds. With
-      --data-dir the run is durable and the row additionally reports
-      wal_bytes, last_checkpoint_epoch, and how long a cold recovery
-      of the data directory takes (recovery_ms / recovered_epoch).
   quarantine scan <document> [--format F] [--report FILE]
       lenient-load the document, print its quarantine, and (with
       --report) persist the report JSON for later replay.
@@ -148,15 +128,11 @@ pub fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
                 args.config.default_deadline_ms =
                     parse_num(&value("--deadline-ms")?, "--deadline-ms")?
             }
-            "--data-dir" => durable.data_dir = Some(value("--data-dir")?),
-            "--fsync" => durable.fsync = Some(parse_fsync(&value("--fsync")?)?),
-            "--checkpoint-every" => {
-                durable.checkpoint_every = Some(parse_num(
-                    &value("--checkpoint-every")?,
-                    "--checkpoint-every",
-                )?)
+            other => {
+                if !durable.parse(other, &mut value)? {
+                    return Err(format!("unknown flag '{other}'"));
+                }
             }
-            other => return Err(format!("unknown flag '{other}'")),
         }
     }
     if args.profiles.is_empty() {
@@ -173,18 +149,34 @@ pub fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
 }
 
 /// Raw `--data-dir` / `--fsync` / `--checkpoint-every` flags, shared by
-/// `serve` and `bench-serve` parsing.
+/// `serve` and `sim run` parsing.
 #[derive(Debug, Default)]
-struct DurabilityFlags {
+pub(crate) struct DurabilityFlags {
     data_dir: Option<String>,
     fsync: Option<FsyncPolicy>,
     checkpoint_every: Option<u64>,
 }
 
 impl DurabilityFlags {
+    /// Takes `flag` if it is one of the three durability flags, reading
+    /// its argument through `value`; `Ok(false)` leaves it to the caller.
+    pub(crate) fn parse(
+        &mut self,
+        flag: &str,
+        value: &mut dyn FnMut(&str) -> Result<String, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--data-dir" => self.data_dir = Some(value(flag)?),
+            "--fsync" => self.fsync = Some(parse_fsync(&value(flag)?)?),
+            "--checkpoint-every" => self.checkpoint_every = Some(parse_num(&value(flag)?, flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
     /// Turns the raw flags into options, rejecting durability knobs
     /// without the data directory that gives them meaning.
-    fn assemble(self) -> Result<Option<DurabilityOptions>, String> {
+    pub(crate) fn assemble(self) -> Result<Option<DurabilityOptions>, String> {
         match self.data_dir {
             Some(dir) => {
                 let mut opts = DurabilityOptions::new(dir);
@@ -233,7 +225,7 @@ pub fn build_service(
 }
 
 /// One-line human rendering of a recovery report, for serve startup
-/// stderr and bench-serve summaries.
+/// stderr.
 pub fn describe_recovery(report: &RecoveryReport) -> String {
     let mut line = format!(
         "recovered epoch {} (checkpoint seq {} @ epoch {}, {} frames / {} updates replayed, wal {} bytes)",
@@ -257,153 +249,6 @@ pub fn describe_recovery(report: &RecoveryReport) -> String {
         ));
     }
     line
-}
-
-/// Parsed `bench-serve` command line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchServeArgs {
-    /// Load-generator knobs.
-    pub config: BenchConfig,
-    /// JSONL output path the binary appends the report row to.
-    pub out: String,
-    /// Durable-mode options; `None` benches a purely in-memory service.
-    pub durability: Option<DurabilityOptions>,
-}
-
-/// Parses `bench-serve` arguments (everything after the subcommand word).
-pub fn parse_bench_serve_args(argv: &[String]) -> Result<BenchServeArgs, String> {
-    let mut config = BenchConfig::default();
-    let mut out = "target/bench-serve.jsonl".to_owned();
-    let mut durable = DurabilityFlags::default();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--transport" => {
-                config.transport = match value("--transport")?.as_str() {
-                    "inproc" | "in-process" => BenchTransport::InProcess,
-                    "tcp" => BenchTransport::Tcp,
-                    other => return Err(format!("unknown transport '{other}' (inproc | tcp)")),
-                }
-            }
-            "--users" => config.users = parse_num(&value("--users")?, "--users")?,
-            "--properties" => {
-                config.properties = parse_num(&value("--properties")?, "--properties")?
-            }
-            "--scores-per-user" => {
-                config.scores_per_user =
-                    parse_num(&value("--scores-per-user")?, "--scores-per-user")?
-            }
-            "--budget" => config.budget = parse_num(&value("--budget")?, "--budget")?,
-            "--clients" => config.clients = parse_num(&value("--clients")?, "--clients")?,
-            "--workers" => config.workers = parse_num(&value("--workers")?, "--workers")?,
-            "--queue" => config.queue_capacity = parse_num(&value("--queue")?, "--queue")?,
-            "--duration-s" => {
-                let secs: f64 = value("--duration-s")?
-                    .parse()
-                    .map_err(|_| "--duration-s needs a number".to_owned())?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--duration-s must be positive".to_owned());
-                }
-                config.duration = Duration::from_secs_f64(secs);
-            }
-            "--update-hz" => config.update_hz = parse_num(&value("--update-hz")?, "--update-hz")?,
-            "--drift-hz" => config.update_hz = parse_num(&value("--drift-hz")?, "--drift-hz")?,
-            "--publish-mode" => {
-                config.publish_mode = match value("--publish-mode")?.as_str() {
-                    "incremental" => PublishMode::Incremental,
-                    "full-rebuild" | "full_rebuild" => PublishMode::FullRebuild,
-                    other => {
-                        return Err(format!(
-                            "unknown publish mode '{other}' (incremental | full-rebuild)"
-                        ))
-                    }
-                }
-            }
-            "--deadline-ms" => {
-                config.deadline_ms = parse_num(&value("--deadline-ms")?, "--deadline-ms")?
-            }
-            "--seed" => config.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--out" => out = value("--out")?,
-            "--data-dir" => durable.data_dir = Some(value("--data-dir")?),
-            "--fsync" => durable.fsync = Some(parse_fsync(&value("--fsync")?)?),
-            "--checkpoint-every" => {
-                durable.checkpoint_every = Some(parse_num(
-                    &value("--checkpoint-every")?,
-                    "--checkpoint-every",
-                )?)
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if config.users == 0 || config.budget == 0 || config.clients == 0 || config.workers == 0 {
-        return Err("--users/--budget/--clients/--workers must be at least 1".to_owned());
-    }
-    Ok(BenchServeArgs {
-        config,
-        out,
-        durability: durable.assemble()?,
-    })
-}
-
-/// Runs the load generator; returns the human-readable summary and the
-/// JSONL row the binary appends to `args.out`.
-pub fn run_bench_serve(args: &BenchServeArgs) -> (String, String) {
-    use std::fmt::Write as _;
-    let mut report = run_bench_with(&args.config, args.durability.as_ref());
-    // Sequence numbers continue across appends to the same JSONL file so
-    // readers can detect truncation/reordering (podium.bench-serve/1).
-    report.seq = next_row_seq(&std::fs::read_to_string(&args.out).unwrap_or_default());
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench-serve: {} users, budget {}, {} clients / {} workers, updates {} Hz",
-        report.users, report.budget, report.clients, report.workers, report.update_hz
-    );
-    let _ = writeln!(
-        out,
-        "served {} requests in {:.2} s ({:.1} req/s) over {}",
-        report.served, report.duration_s, report.throughput_rps, report.transport
-    );
-    let _ = writeln!(
-        out,
-        "latency us: p50 {}  p90 {}  p99 {}  max {}",
-        report.p50_us, report.p90_us, report.p99_us, report.max_us
-    );
-    let _ = writeln!(
-        out,
-        "failed {} (deadline {}, transport {}, other {}), overloaded {}, inconsistent {}",
-        report.failed,
-        report.failed_deadline,
-        report.failed_transport,
-        report.failed_other,
-        report.overloaded,
-        report.inconsistent,
-    );
-    let _ = writeln!(
-        out,
-        "{} updates applied (final epoch {}); cache {} hits / {} misses; max queue depth {}",
-        report.updates_applied,
-        report.final_epoch,
-        report.cache_hits,
-        report.cache_misses,
-        report.queue_depth_max
-    );
-    if args.durability.is_some() {
-        let _ = writeln!(
-            out,
-            "durable: wal {} bytes, last checkpoint epoch {}; cold recovery {:.1} ms to epoch {}",
-            report.wal_bytes,
-            report.last_checkpoint_epoch,
-            report.recovery_ms,
-            report.recovered_epoch
-        );
-    }
-    (out, report.to_json())
 }
 
 /// Parsed `quarantine` command line.
@@ -754,93 +599,6 @@ mod tests {
         let response = service.handle_line(r#"{"op":"stats"}"#);
         assert!(response.contains(r#""users":4"#), "{response}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn parse_bench_serve_flags() {
-        let a = parse_bench_serve_args(&argv(
-            "--users 500 --budget 8 --clients 2 --workers 2 --duration-s 0.25 \
-             --update-hz 5 --seed 7 --out /tmp/x.jsonl",
-        ))
-        .unwrap();
-        assert_eq!(a.config.users, 500);
-        assert_eq!(a.config.budget, 8);
-        assert_eq!(a.config.duration, Duration::from_millis(250));
-        assert_eq!(a.config.update_hz, 5);
-        assert_eq!(a.config.seed, 7);
-        assert_eq!(a.config.transport, BenchTransport::InProcess);
-        assert_eq!(a.out, "/tmp/x.jsonl");
-
-        let a = parse_bench_serve_args(&argv("--transport tcp")).unwrap();
-        assert_eq!(a.config.transport, BenchTransport::Tcp);
-        assert_eq!(a.durability, None);
-
-        let a = parse_bench_serve_args(&argv("--data-dir /tmp/d --fsync off")).unwrap();
-        let opts = a.durability.expect("durability options");
-        assert_eq!(opts.fsync, FsyncPolicy::Off);
-
-        assert!(parse_bench_serve_args(&argv("--users 0")).is_err());
-        assert!(parse_bench_serve_args(&argv("--duration-s -1")).is_err());
-        assert!(parse_bench_serve_args(&argv("--transport carrier-pigeon")).is_err());
-        assert!(parse_bench_serve_args(&argv("--fsync batch")).is_err());
-    }
-
-    #[test]
-    fn parse_bench_serve_drift_flags() {
-        let a =
-            parse_bench_serve_args(&argv("--drift-hz 500 --publish-mode full-rebuild")).unwrap();
-        assert_eq!(a.config.update_hz, 500, "--drift-hz aliases --update-hz");
-        assert_eq!(a.config.publish_mode, PublishMode::FullRebuild);
-        let a = parse_bench_serve_args(&argv("--publish-mode incremental")).unwrap();
-        assert_eq!(a.config.publish_mode, PublishMode::Incremental);
-        assert!(parse_bench_serve_args(&argv("--publish-mode sometimes")).is_err());
-        assert!(parse_bench_serve_args(&argv("--drift-hz")).is_err());
-    }
-
-    #[test]
-    fn bench_serve_summary_and_row_agree() {
-        let args = BenchServeArgs {
-            config: BenchConfig {
-                users: 150,
-                properties: 8,
-                scores_per_user: 3,
-                budget: 4,
-                clients: 2,
-                workers: 2,
-                queue_capacity: 32,
-                duration: Duration::from_millis(150),
-                update_hz: 20,
-                deadline_ms: 1_000,
-                seed: 11,
-                transport: BenchTransport::InProcess,
-                publish_mode: PublishMode::Incremental,
-            },
-            out: "unused".into(),
-            durability: None,
-        };
-        let (human, row) = run_bench_serve(&args);
-        assert!(human.contains("bench-serve: 150 users"), "{human}");
-        assert!(
-            human.contains("failed 0 (deadline 0, transport 0, other 0)"),
-            "{human}"
-        );
-        let v: serde_json::Value = serde_json::from_str(&row).unwrap();
-        assert_eq!(
-            v["schema"].as_str(),
-            Some(podium_service::bench::BENCH_SERVE_SCHEMA)
-        );
-        assert_eq!(v["seq"].as_u64(), Some(0));
-        assert_eq!(v["bench"].as_str(), Some("serve"));
-        assert_eq!(v["transport"].as_str(), Some("inproc"));
-        assert_eq!(v["failed"].as_u64(), Some(0));
-        assert_eq!(v["inconsistent"].as_u64(), Some(0));
-        assert!(v["served"].as_u64().unwrap() > 0);
-        assert_eq!(
-            v["failed"].as_u64().unwrap(),
-            v["failed_deadline"].as_u64().unwrap()
-                + v["failed_transport"].as_u64().unwrap()
-                + v["failed_other"].as_u64().unwrap()
-        );
     }
 
     #[test]

@@ -1,22 +1,28 @@
 //! The simulator subcommands of `podium-cli`: `sim run` and
 //! `sim report`.
 //!
-//! * `sim run` — drives the deterministic workload generator
-//!   ([`podium_sim::run_sim`]) from a versioned scenario file, writing
-//!   three artifacts into `--out-dir`: `trace.jsonl` (byte-identical per
-//!   seed), `requests.jsonl` (wall-clock latencies/outcomes/staleness),
-//!   and `rollup.json` (the deterministic counter rollup).
+//! * `sim run` — drives the workload generator
+//!   ([`podium_sim::run_sim_with`]) from a versioned scenario file against
+//!   a service deployed in memory or durable, writing three artifacts
+//!   into `--out-dir`: `trace.jsonl` (byte-identical per seed),
+//!   `requests.jsonl` (wall-clock latencies/outcomes/staleness, and every
+//!   closed-loop client request), and `rollup.json` (the deterministic
+//!   counter rollup). A scenario with `clients` is the serving
+//!   throughput benchmark (`configs/serve.json`).
 //! * `sim report` — the unified dashboard: validates any mix of
-//!   bench-serve, experiment-status, podium-lint, and simulator JSONL
-//!   files and renders one human dashboard plus the machine
+//!   experiment-status, podium-lint, and simulator JSONL files and
+//!   renders one human dashboard plus the machine
 //!   `podium.dashboard-rollup/1` document (checked in as
 //!   `BENCH_8.json`).
 
-use podium_sim::driver::{run_sim, SimOptions};
+use podium_service::snapshot::PublishMode;
+use podium_sim::driver::{run_sim_with, Deployment, SimOptions};
 use podium_sim::report::render;
 use podium_sim::scenario::parse_scenario;
 use podium_sim::stream::read_streams;
 use podium_sim::transport::TransportSpec;
+
+use crate::service_cli::DurabilityFlags;
 
 /// Usage text for the `sim` subcommand family; appended to the main
 /// usage output.
@@ -25,17 +31,23 @@ podium-cli sim — deterministic workload simulation + dashboard
 
 USAGE:
   sim run --scenario FILE [--seed N] [--transport inproc|unix|tcp]
-      [--chaos] [--out-dir DIR]
+      [--chaos] [--out-dir DIR] [--publish-mode incremental|full-rebuild]
+      [--data-dir DIR] [--fsync always|batch|off] [--checkpoint-every N]
       Drive the scenario against a real in-process service; write
       trace.jsonl / requests.jsonl / rollup.json under --out-dir
       (default target/sim). Same --seed and scenario => byte-identical
       trace and rollup. --chaos (tcp only) interposes the
-      virtual-clock chaos proxy.
+      virtual-clock chaos proxy. A scenario with closed-loop clients
+      (configs/serve.json) runs them for its whole window, paced to
+      wall-clock time, and prints select req/s and the failure
+      breakdown. --publish-mode picks how epochs are materialized;
+      with --data-dir the service is durable (same flags as serve)
+      and the run ends with a timed cold recovery of DIR.
   sim report --in FILE [--in FILE ...] [--out FILE]
-      Render the unified dashboard over any mix of bench-serve,
-      experiment-status, podium-lint, and sim trace/request JSONL
-      files; print the human dashboard and write the machine rollup
-      to --out (default BENCH_8.json).
+      Render the unified dashboard over any mix of experiment-status,
+      podium-lint, and sim trace/request JSONL files; print the human
+      dashboard and write the machine rollup to --out (default
+      BENCH_8.json).
 ";
 
 /// Parsed `sim run` command line.
@@ -51,6 +63,8 @@ pub struct SimRunArgs {
     pub chaos: bool,
     /// Directory the three artifacts are written into.
     pub out_dir: String,
+    /// Publish mode and durability of the service under test.
+    pub deployment: Deployment,
 }
 
 /// Parsed `sim report` command line.
@@ -69,6 +83,8 @@ pub fn parse_sim_run_args(argv: &[String]) -> Result<SimRunArgs, String> {
     let mut transport = "inproc".to_owned();
     let mut chaos = false;
     let mut out_dir = "target/sim".to_owned();
+    let mut publish_mode = PublishMode::default();
+    let mut durable = DurabilityFlags::default();
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -86,7 +102,12 @@ pub fn parse_sim_run_args(argv: &[String]) -> Result<SimRunArgs, String> {
             "--transport" => transport = value("--transport")?,
             "--chaos" => chaos = true,
             "--out-dir" => out_dir = value("--out-dir")?,
-            other => return Err(format!("unknown flag '{other}'")),
+            "--publish-mode" => publish_mode = parse_publish_mode(&value("--publish-mode")?)?,
+            other => {
+                if !durable.parse(other, &mut value)? {
+                    return Err(format!("unknown flag '{other}'"));
+                }
+            }
         }
     }
     let scenario = scenario.ok_or_else(|| "--scenario is required".to_owned())?;
@@ -101,7 +122,21 @@ pub fn parse_sim_run_args(argv: &[String]) -> Result<SimRunArgs, String> {
         transport,
         chaos,
         out_dir,
+        deployment: Deployment {
+            publish_mode,
+            durability: durable.assemble()?,
+        },
     })
+}
+
+fn parse_publish_mode(tag: &str) -> Result<PublishMode, String> {
+    match tag {
+        "incremental" => Ok(PublishMode::Incremental),
+        "full-rebuild" | "full_rebuild" => Ok(PublishMode::FullRebuild),
+        other => Err(format!(
+            "unknown publish mode '{other}' (incremental | full-rebuild)"
+        )),
+    }
 }
 
 /// Parses `sim report` arguments.
@@ -151,7 +186,7 @@ pub fn run_sim_run(args: &SimRunArgs) -> Result<SimRunOutput, String> {
         seed: args.seed,
         transport,
     };
-    let output = run_sim(&scenario, &options).map_err(|e| e.to_string())?;
+    let output = run_sim_with(&scenario, &options, &args.deployment).map_err(|e| e.to_string())?;
     // podium-lint: allow(expect) — the rollup is built from plain strings/numbers and cannot fail to serialize
     let rollup_json =
         serde_json::to_string(&output.rollup).expect("rollup serialization is infallible");
@@ -203,6 +238,66 @@ mod tests {
         assert_eq!(a.transport, "tcp");
         assert!(a.chaos);
         assert_eq!(a.out_dir, "/tmp/x");
+        assert_eq!(a.deployment, Deployment::default());
+    }
+
+    #[test]
+    fn parse_run_deployment_flags() {
+        let a = parse_sim_run_args(&argv(
+            "--scenario s.json --publish-mode full-rebuild --data-dir /tmp/d --fsync batch \
+             --checkpoint-every 64",
+        ))
+        .unwrap();
+        assert_eq!(a.deployment.publish_mode, PublishMode::FullRebuild);
+        let opts = a.deployment.durability.expect("durability options");
+        assert_eq!(opts.data_dir, std::path::PathBuf::from("/tmp/d"));
+        assert_eq!(opts.fsync, podium_service::FsyncPolicy::Batch);
+        assert_eq!(opts.checkpoint_every, 64);
+        let a = parse_sim_run_args(&argv("--scenario s.json --publish-mode incremental")).unwrap();
+        assert_eq!(a.deployment.publish_mode, PublishMode::Incremental);
+        for bad in [
+            "--scenario s.json --publish-mode sometimes",
+            "--scenario s.json --publish-mode",
+            "--scenario s.json --fsync batch",
+            "--scenario s.json --data-dir d --fsync sometimes",
+        ] {
+            assert!(parse_sim_run_args(&argv(bad)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn closed_loop_run_prints_the_failure_breakdown() {
+        let dir = std::env::temp_dir().join(format!("podium-sim-cli-serve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let scenario = dir.join("serve.json");
+        std::fs::write(
+            &scenario,
+            r#"{"schema": "podium.scenario/1", "name": "cli-serve", "duration_s": 0.3,
+                "clients": 2,
+                "population": {"users": 150, "properties": 8, "scores_per_user": 3},
+                "drift": {"rate_hz": 20.0, "matrix": [[0,0.5,0.5],[0.5,0,0.5],[0.5,0.5,0]]},
+                "session": {"budget": 4},
+                "observer": {"rate_hz": 20.0},
+                "service": {"workers": 2, "queue_capacity": 32}}"#,
+        )
+        .unwrap();
+        let args = parse_sim_run_args(&argv(&format!(
+            "--scenario {} --seed 11 --data-dir {}",
+            scenario.display(),
+            dir.join("data").display()
+        )))
+        .unwrap();
+        let out = run_sim_run(&args).unwrap();
+        assert!(out.human.contains("closed loop: "), "{}", out.human);
+        assert!(
+            out.human
+                .contains("failed 0 (deadline 0, transport 0, other 0)"),
+            "{}",
+            out.human
+        );
+        assert!(out.human.contains("inconsistent 0"), "{}", out.human);
+        assert!(out.human.contains("durable: wal "), "{}", out.human);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

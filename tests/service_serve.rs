@@ -19,7 +19,7 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use podium::core::bucket::BucketingConfig;
-use podium::service::bench::synthetic_repository;
+use podium::data::synth::synthetic_repository;
 use podium::service::snapshot::{ProfileUpdate, RepositoryWriter, SelectParams, Snapshot};
 
 const USERS: usize = 300;

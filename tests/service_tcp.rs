@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use podium::core::bucket::BucketingConfig;
 use podium::core::engine::{AnnealSchedule, Quota, QuotaBound, QuotaSet};
-use podium::service::bench::synthetic_repository;
+use podium::data::synth::synthetic_repository;
 use podium::service::chaos::{ChaosConfig, ChaosProxy};
 use podium::service::client::{BreakerState, ClientConfig, ClientError, PodiumClient};
 use podium::service::service::{PodiumService, ServiceConfig};

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use podium::core::bucket::BucketingConfig;
 use podium::core::profile::UserRepository;
-use podium::service::bench::synthetic_repository;
+use podium::data::synth::synthetic_repository;
 use podium::service::recovery::{self, RecoveryReport};
 use podium::service::snapshot::{ProfileUpdate, PublishMode};
 use podium::service::wal::{self, FsyncPolicy, WalWriter};
