@@ -70,7 +70,7 @@ fn main() {
     );
 
     for mode in [PublishMode::FullRebuild, PublishMode::Incremental] {
-        let (store, mut writer) = RepositoryWriter::with_mode(repo.clone(), &buckets, mode);
+        let (_store, mut writer) = RepositoryWriter::with_mode(repo.clone(), &buckets, mode);
         // Warm up recycle pool.
         for i in 0..4 {
             writer
@@ -95,8 +95,7 @@ fn main() {
             writer.publish();
         }
         let total = started.elapsed();
-        let snap = store.load();
-        let b = snap.build_stats();
+        let b = writer.publish_stats().last;
         println!(
             "{mode:?}: {:.1} us/publish (wall), last build: patch {} us, rebuild {} us, publish {} us, patched {}",
             total.as_secs_f64() * 1e6 / f64::from(u32::try_from(rounds).unwrap()),

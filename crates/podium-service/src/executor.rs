@@ -9,45 +9,21 @@
 //! shifts data under a running selection, and the response reports which
 //! epoch it saw.
 //!
-//! Deadlines are absolute [`Instant`]s fixed at submission, so time spent
-//! waiting in the queue counts against the budget; the selection loop
-//! polls the deadline between greedy rounds (see
-//! [`podium_core::engine::SelectSpec::stop`]).
+//! The executor knows nothing about deadlines: the service fixes each
+//! request's absolute deadline when it accepts the request, before
+//! [`QueryExecutor::run`] enqueues it, so time spent waiting in the queue
+//! counts against the budget, and the job polls that instant between
+//! greedy rounds (see [`crate::snapshot::Snapshot::serve`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use crate::error::ServiceError;
 use crate::poison;
-use crate::snapshot::{SelectConstraints, SelectOutcome, SelectParams, Snapshot, SnapshotStore};
-
-/// Sizing and timing knobs of the executor.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecutorConfig {
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Maximum queued (not yet running) requests before admission control
-    /// rejects.
-    pub queue_capacity: usize,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Duration,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(2),
-            queue_capacity: 256,
-            default_deadline: Duration::from_secs(5),
-        }
-    }
-}
+use crate::snapshot::{Snapshot, SnapshotStore};
 
 /// A queued unit of work: runs against the snapshot captured at dequeue.
 type Job = Box<dyn FnOnce(Arc<Snapshot>) + Send + 'static>;
@@ -78,7 +54,7 @@ pub struct ExecutorStats {
 pub struct QueryExecutor {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    config: ExecutorConfig,
+    queue_capacity: usize,
     stats: Arc<ExecutorStats>,
 }
 
@@ -86,20 +62,21 @@ impl std::fmt::Debug for QueryExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryExecutor")
             .field("workers", &self.workers.len())
-            .field("queue_capacity", &self.config.queue_capacity)
+            .field("queue_capacity", &self.queue_capacity)
             .finish()
     }
 }
 
 impl QueryExecutor {
-    /// Spawns the worker pool against `store`.
-    pub fn new(store: Arc<SnapshotStore>, config: ExecutorConfig) -> Self {
+    /// Spawns `workers` threads (at least one) against `store`, admitting
+    /// at most `queue_capacity` queued (not yet running) requests.
+    pub fn new(store: Arc<SnapshotStore>, workers: usize, queue_capacity: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState::default()),
             available: Condvar::new(),
         });
         let stats = Arc::new(ExecutorStats::default());
-        let workers = (0..config.workers.max(1))
+        let workers = (0..workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let store = Arc::clone(&store);
@@ -110,14 +87,9 @@ impl QueryExecutor {
         Self {
             shared,
             workers,
-            config,
+            queue_capacity,
             stats,
         }
-    }
-
-    /// The executor's configuration.
-    pub fn config(&self) -> &ExecutorConfig {
-        &self.config
     }
 
     /// Serving counters.
@@ -142,7 +114,7 @@ impl QueryExecutor {
             if state.shutdown {
                 return Err(ServiceError::ShuttingDown);
             }
-            if state.jobs.len() >= self.config.queue_capacity {
+            if state.jobs.len() >= self.queue_capacity {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::Overloaded);
             }
@@ -153,50 +125,9 @@ impl QueryExecutor {
         Ok(())
     }
 
-    /// Runs a `select` through the pool, blocking the calling thread until
-    /// the response arrives. `deadline` defaults to
-    /// [`ExecutorConfig::default_deadline`] from *now*; queue wait counts
-    /// against it. `stale_ok` opts into the bounded-staleness read mode
-    /// (see [`Snapshot::select_with`]); pass `false` for the default
-    /// always-fresh behavior.
-    pub fn run_select(
-        &self,
-        params: SelectParams,
-        deadline: Option<Duration>,
-        stale_ok: bool,
-    ) -> Result<SelectOutcome, ServiceError> {
-        let absolute = Instant::now() + deadline.unwrap_or(self.config.default_deadline);
-        let (tx, rx) = mpsc::channel();
-        self.submit(move |snapshot| {
-            let _ = tx.send(snapshot.select_with(&params, Some(absolute), stale_ok));
-        })?;
-        rx.recv()
-            .map_err(|_| ServiceError::BadRequest("worker dropped the response channel".into()))?
-    }
-
-    /// [`QueryExecutor::run_select`] under quota constraints (see
-    /// [`Snapshot::select_constrained`]). The deadline still includes
-    /// queue wait, but is checked before compute only — a constrained run
-    /// is never interrupted mid-flight, since a partial slate could
-    /// strand unmet quota floors.
-    pub fn run_select_constrained(
-        &self,
-        params: SelectParams,
-        constraints: SelectConstraints,
-        deadline: Option<Duration>,
-    ) -> Result<SelectOutcome, ServiceError> {
-        let absolute = Instant::now() + deadline.unwrap_or(self.config.default_deadline);
-        let (tx, rx) = mpsc::channel();
-        self.submit(move |snapshot| {
-            let _ = tx.send(snapshot.select_constrained(&params, &constraints, Some(absolute), false));
-        })?;
-        rx.recv()
-            .map_err(|_| ServiceError::BadRequest("worker dropped the response channel".into()))?
-    }
-
-    /// Runs an arbitrary closure against the snapshot captured at dequeue,
-    /// blocking until it returns. This is the generic path for `explain`
-    /// and other snapshot-bound reads.
+    /// Runs `f` against the snapshot captured at dequeue, blocking the
+    /// calling thread until it returns. Every unpinned `select` and
+    /// every `explain` goes through here.
     pub fn run<T: Send + 'static>(
         &self,
         f: impl FnOnce(Arc<Snapshot>) -> T + Send + 'static,
@@ -248,10 +179,11 @@ fn worker_loop(shared: &Shared, store: &SnapshotStore, stats: &ExecutorStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{ProfileUpdate, RepositoryWriter};
+    use crate::snapshot::{ProfileUpdate, RepositoryWriter, SelectParams};
     use podium_core::bucket::BucketingConfig;
     use podium_core::profile::UserRepository;
     use podium_core::weights::{CovScheme, WeightScheme};
+    use std::time::{Duration, Instant};
 
     fn service_parts() -> (Arc<SnapshotStore>, RepositoryWriter) {
         let mut repo = UserRepository::new();
@@ -276,15 +208,8 @@ mod tests {
     #[test]
     fn select_round_trips_through_the_pool() {
         let (store, _w) = service_parts();
-        let exec = QueryExecutor::new(
-            store,
-            ExecutorConfig {
-                workers: 2,
-                queue_capacity: 8,
-                default_deadline: Duration::from_secs(2),
-            },
-        );
-        let outcome = exec.run_select(params(), None, false).unwrap();
+        let exec = QueryExecutor::new(store, 2, 8);
+        let outcome = exec.run(|s| s.select(&params(), None)).unwrap().unwrap();
         assert_eq!(outcome.selection.users.len(), 4);
         assert_eq!(outcome.epoch, 0);
         // The worker bumps `completed` after delivering the response, so
@@ -299,14 +224,7 @@ mod tests {
     #[test]
     fn admission_control_rejects_when_full() {
         let (store, _w) = service_parts();
-        let exec = QueryExecutor::new(
-            store,
-            ExecutorConfig {
-                workers: 1,
-                queue_capacity: 1,
-                default_deadline: Duration::from_secs(2),
-            },
-        );
+        let exec = QueryExecutor::new(store, 1, 1);
         // Park the single worker on a slow job, fill the queue, then
         // overflow it.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
@@ -340,17 +258,21 @@ mod tests {
         })
         .unwrap();
         w.publish();
-        let exec = QueryExecutor::new(Arc::clone(&store), ExecutorConfig::default());
-        let outcome = exec.run_select(params(), None, false).unwrap();
+        let exec = QueryExecutor::new(Arc::clone(&store), 2, 8);
+        let outcome = exec.run(|s| s.select(&params(), None)).unwrap().unwrap();
         assert_eq!(outcome.epoch, 1, "request sees the published epoch");
     }
 
     #[test]
     fn expired_deadline_is_reported() {
         let (store, _w) = service_parts();
-        let exec = QueryExecutor::new(store, ExecutorConfig::default());
+        let exec = QueryExecutor::new(store, 2, 8);
+        // The deadline is taken before the job is queued and has passed by
+        // the time a worker picks it up.
+        let deadline = Instant::now();
         let err = exec
-            .run_select(params(), Some(Duration::from_nanos(0)), false)
+            .run(move |s| s.select(&params(), Some(deadline)))
+            .unwrap()
             .unwrap_err();
         assert_eq!(err, ServiceError::DeadlineExceeded);
     }
@@ -358,8 +280,8 @@ mod tests {
     #[test]
     fn shutdown_rejects_new_work_and_joins() {
         let (store, _w) = service_parts();
-        let exec = QueryExecutor::new(store, ExecutorConfig::default());
-        exec.run_select(params(), None, false).unwrap();
+        let exec = QueryExecutor::new(store, 2, 8);
+        exec.run(|s| s.select(&params(), None)).unwrap().unwrap();
         drop(exec); // must not hang
     }
 }

@@ -11,13 +11,17 @@
 //!   bundling the repository, its group set, and a prebuilt CSR graph,
 //!   published via atomic `Arc` swap by a single
 //!   [`snapshot::RepositoryWriter`] that applies profile updates through
-//!   [`podium_core::incremental::IncrementalGroups`];
+//!   [`podium_core::incremental::IncrementalGroups`], one epoch per
+//!   update. [`snapshot::Snapshot::serve`] is the one select path: memo
+//!   lookup, carried-memo lookup under `stale_ok`, then one warm-started
+//!   CELF run, with or without quotas, that polls the request deadline;
 //! * [`executor`] — a fixed worker pool draining a bounded request queue
-//!   with reject-on-full admission control and per-request deadlines
-//!   checked between greedy rounds;
+//!   with reject-on-full admission control; each job runs on the
+//!   snapshot captured at dequeue;
 //! * [`session`] — the paper's §6 customization loop: a session pins a
 //!   snapshot epoch and accumulates `G+`/`G-`/`Gd`/`Gd?` feedback across
-//!   refinement requests without re-ingesting;
+//!   refinement requests without re-ingesting; selects pinned to a
+//!   session run on that snapshot outside the session table's lock;
 //! * [`protocol`] + [`server`] + [`tcp`] — a line-delimited JSON
 //!   request/response protocol (`select`, `explain`, `refine`,
 //!   `update-profile`, `stats`, plus session management) served over
@@ -40,8 +44,10 @@
 //! throughput runs.
 //!
 //! The crate is embeddable: [`service::PodiumService`] is an ordinary
-//! `Send + Sync` value; the binary front-end lives in the workspace's
-//! `podium-cli`.
+//! `Send + Sync` value that fixes each request's deadline on arrival and
+//! routes every select — plain, constrained, `stale_ok`, pinned, and
+//! `explain`'s — to one `serve` call; the binary front-end lives in the
+//! workspace's `podium-cli`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

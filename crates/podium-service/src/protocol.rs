@@ -35,9 +35,10 @@
 //!
 //! | flag          | op       | meaning                                                        |
 //! |---------------|----------|----------------------------------------------------------------|
-//! | `stale_ok`    | `select` | bounded-staleness read mode: the response may carry a selection computed on an earlier epoch (fields `stale: true`, `epoch` = compute epoch, `certified_score_lb`) instead of recomputing against the current one. Omitted or `false`: always fresh — the default behavior is unchanged. |
-//! | `constraints` | `select` | quota-constrained selection: an object `{"quotas": [{"group": G, "min_count"\|"min_ratio"?, "max_count"\|"max_ratio"?}, …], "anneal"?: {"seed", "steps", "t0", "cooling"}}`. Each quota window is enforced as a hard floor/ceiling on the group's selected-member count (ratios resolve against the budget); `anneal` additionally refines the greedy solution with that seeded schedule. Unsatisfiable windows fail with the `infeasible` code. Omitted: plain unconstrained select. |
-//! | `session`     | `select` | pins the select to the epoch a session was opened on instead of the current one. Subject to the same retirement rule as `refine` (`session_retired`). Omitted: serve from the newest epoch. |
+//! | `deadline_ms` | `select` | the request's deadline, counted from when the service accepts it (queue wait included). Omitted: the service's default deadline, which is also the deadline of every `explain`. A selection still computing at the deadline fails with `deadline_exceeded` and no partial slate — constrained or not; a memoized selection is served even past it. |
+//! | `stale_ok`    | `select` | bounded-staleness read mode: the response may carry a selection computed on an earlier epoch (fields `stale: true`, `epoch` = compute epoch, `certified_score_lb`) instead of recomputing against the current one. Omitted or `false`: always fresh — the default behavior is unchanged. Ignored with `session`: the response then carries `stale: false` and the pinned epoch. Constrained selections are never carried, so with `constraints` it always recomputes. |
+//! | `constraints` | `select` | quota-constrained selection: an object `{"quotas": [{"group": G, "min_count"\|"min_ratio"?, "max_count"\|"max_ratio"?}, …], "anneal"?: {"seed", "steps", "t0", "cooling"}}`. Each quota window is enforced as a hard floor/ceiling on the group's selected-member count (ratios resolve against the budget); `anneal` additionally refines the greedy solution with that seeded schedule. Unsatisfiable windows fail with the `infeasible` code. The greedy run stops at `deadline_ms` like any select; the anneal pass, bounded by its `steps`, runs to completion. Omitted: plain unconstrained select. |
+//! | `session`     | `select` | pins the select to the epoch a session was opened on instead of the current one, always fresh on that epoch (`stale_ok` does not apply). Subject to the same retirement rule as `refine` (`session_retired`). Omitted: serve from the newest epoch. |
 //!
 //! The parser is hand-rolled over [`serde_json::Value`]: the vendored
 //! serde stand-in has no tagged-enum derive, and a by-hand reader keeps

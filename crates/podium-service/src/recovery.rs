@@ -389,7 +389,7 @@ pub fn recover(
             torn = Some(reason);
             break;
         }
-        if frame.epoch > 0 && !writer.align_next_epoch(frame.epoch) {
+        if !writer.align_next_epoch(frame.epoch) {
             keep_len = frame_start;
             torn = Some(format!(
                 "frame {} epoch {} not ahead of recovered epoch {}",
@@ -408,9 +408,7 @@ pub fn recover(
                 ))
             })?;
         }
-        if frame.epoch > 0 {
-            writer.publish();
-        }
+        writer.publish();
         report.replayed_frames += 1;
         report.replayed_updates += u64::try_from(frame.updates.len()).unwrap_or(u64::MAX);
         last_seq = frame.seq;
@@ -421,10 +419,6 @@ pub fn recover(
     if let Some(reason) = torn.clone() {
         quarantine_tail(dir, &wal_bytes, keep_len, reason, &mut report)?;
     }
-    // Epoch-0 (batched) frames at the tail publish once, together, the
-    // same way the flusher would have.
-    writer.publish_if_dirty();
-
     // A log whose surviving frames all predate the checkpoint cannot be
     // appended to contiguously: the writer would resume at the
     // checkpoint's sequence and the resulting internal gap would make the
@@ -561,6 +555,36 @@ mod tests {
         let (_s, _w, second) = recover(&dir, repo2, &buckets2, PublishMode::Incremental).unwrap();
         assert_eq!(second.replayed_frames, 1);
         assert!(second.quarantined.is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every frame names the epoch it published; `0` is never ahead of
+    /// the recovered epoch, so replay ends at such a frame like at any
+    /// other epoch that goes backwards.
+    #[test]
+    fn epoch_zero_frame_ends_replay_and_quarantines_the_tail() {
+        let dir = temp_dir("epoch-zero");
+        let (repo, buckets) = fixture();
+        let mut wal = WalWriter::open(&dir, FsyncPolicy::Always, 1, 0).unwrap();
+        wal.append(1, vec![update("bob", "topic-0", Some(0.9))])
+            .unwrap();
+        let first_len = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        wal.append(0, vec![update("bob", "topic-1", Some(0.1))])
+            .unwrap();
+        wal.append(2, vec![update("carol", "topic-0", Some(0.4))])
+            .unwrap();
+        let (store, writer, report) =
+            recover(&dir, repo, &buckets, PublishMode::Incremental).unwrap();
+        assert_eq!(report.replayed_frames, 1);
+        assert_eq!(report.recovered_epoch, 1);
+        assert_eq!(writer.epoch(), 1);
+        assert!(store.load().repo().user_by_name("carol").is_none());
+        assert!(report
+            .quarantined
+            .as_deref()
+            .unwrap()
+            .contains("epoch 0 not ahead"));
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), first_len);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,21 +1,27 @@
 //! [`PodiumService`]: the embeddable facade tying the snapshot store,
 //! writer, executor, and session layer together behind the JSONL protocol.
+//!
+//! Every select — plain, constrained, `stale_ok`, session-pinned, and the
+//! one inside `explain` — takes the same path: the service fixes the
+//! request's absolute deadline on arrival, finds the snapshot (the pinned
+//! one for a session, else the one a worker captures at dequeue), and
+//! makes one [`Snapshot::serve`] call on it. `update-profile` validates,
+//! appends to the WAL (when durable), applies, and publishes one epoch
+//! per update.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use podium_core::bucket::PropertyBuckets;
 use podium_core::explain::SelectionReport;
 use podium_core::instance::DiversificationInstance;
 use podium_core::profile::UserRepository;
-use podium_core::weights::{CovScheme, WeightScheme};
 use serde_json::Value;
 
 use crate::error::ServiceError;
-use crate::executor::{ExecutorConfig, QueryExecutor};
+use crate::executor::QueryExecutor;
 use crate::poison;
 use crate::protocol::{
     self, error_response, num_f64, num_u64, ok_response, parse_request, string, string_array,
@@ -24,32 +30,9 @@ use crate::protocol::{
 use crate::recovery::{self, DurabilityOptions, RecoveryReport};
 use crate::session::SessionManager;
 use crate::snapshot::{
-    ProfileUpdate, PublishMode, RepositoryWriter, SelectConstraints, SelectOutcome, SelectParams,
-    SnapshotStore,
+    elapsed_micros, ProfileUpdate, PublishMode, RepositoryWriter, Snapshot, SnapshotStore,
 };
 use crate::wal::WalWriter;
-
-/// When each applied update becomes visible to readers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PublishPolicy {
-    /// Publish a new epoch on every `update-profile` — one epoch per
-    /// update, the original (and default) behavior.
-    #[default]
-    Immediate,
-    /// Queue updates and let a background flusher publish the batch as
-    /// one epoch every `interval_ms` milliseconds. `update-profile`
-    /// responses carry `queued: true` and the last *published* epoch.
-    /// After each batched publish the flusher warms the new epoch's memo
-    /// cache with the configured warm select.
-    Batched {
-        /// Flush interval in milliseconds.
-        interval_ms: u64,
-    },
-}
-
-/// Budget of the publish-time cache-warming select (scheme defaults:
-/// LBS weights, Single coverage — the serving defaults).
-pub const DEFAULT_WARM_BUDGET: usize = 10;
 
 /// Service sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,41 +45,34 @@ pub struct ServiceConfig {
     /// not carry a `deadline_ms`.
     pub default_deadline_ms: u64,
     /// How many epochs a session's pinned snapshot may lag the current
-    /// epoch before `refine` rejects with `session_retired`. Keeping a
-    /// long-abandoned session's snapshot alive pins its whole repository
-    /// copy in memory; this bounds that. `u64::MAX` disables retirement.
+    /// epoch before pinned selects and `refine` reject with
+    /// `session_retired`. Keeping a long-abandoned session's snapshot
+    /// alive pins its whole repository copy in memory; this bounds that.
+    /// `u64::MAX` disables retirement.
     pub max_session_lag: u64,
     /// How published epochs are materialized (incremental delta patching
     /// vs full rebuild).
     pub publish_mode: PublishMode,
-    /// When applied updates become visible.
-    pub publish_policy: PublishPolicy,
-    /// Budget of the warming select run after each *batched* publish
-    /// (`None` disables warming). Ignored under
-    /// [`PublishPolicy::Immediate`], whose publish latency stays
-    /// warming-free.
-    pub warm_budget: Option<usize>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let exec = ExecutorConfig::default();
         Self {
-            workers: exec.workers,
-            queue_capacity: exec.queue_capacity,
-            default_deadline_ms: exec.default_deadline.as_millis() as u64,
+            workers: std::thread::available_parallelism()
+                .map(|n| n.get().min(8))
+                .unwrap_or(2),
+            queue_capacity: 256,
+            default_deadline_ms: 5000,
             max_session_lag: 1024,
             publish_mode: PublishMode::default(),
-            publish_policy: PublishPolicy::default(),
-            warm_budget: Some(DEFAULT_WARM_BUDGET),
         }
     }
 }
 
 /// Cumulative (monotone across epochs) memo-cache counters for the
-/// `select` path. Per-epoch counters live on each [`Snapshot`]; these
-/// accumulate over the service's lifetime so dashboards see totals that
-/// never reset when an epoch is published.
+/// `select` path, derived from each [`crate::snapshot::SelectOutcome`]'s
+/// `cache_hit`/`stale` flags. They accumulate over the service's lifetime,
+/// so dashboards see totals that never reset when an epoch is published.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     hits: AtomicU64,
@@ -197,9 +173,8 @@ impl DurabilityHandle {
     }
 
     /// Appends one accepted update as a WAL frame and fsyncs per policy.
-    /// `epoch` is the epoch the batch will publish at (`0` = unassigned,
-    /// batched policy). An error here means the update must NOT be
-    /// acknowledged.
+    /// `epoch` is the epoch the update will publish at. An error here
+    /// means the update must NOT be acknowledged.
     fn log_update(&self, epoch: u64, update: &ProfileUpdate) -> Result<(), ServiceError> {
         let mut state = poison::checked(self.inner.lock())?;
         state.wal.append(epoch, vec![update.clone()])?;
@@ -254,63 +229,27 @@ pub const PEER_DEGRADE_AFTER: u32 = 3;
 /// beyond this.
 const PEER_REGISTRY_CAP: usize = 64;
 
-/// Shutdown signal + join handle of the batched-publish flusher thread.
-#[derive(Debug)]
-struct Flusher {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for Flusher {
-    fn drop(&mut self) {
-        {
-            let (lock, cv) = &*self.stop;
-            *poison::recover(lock.lock()) = true;
-            cv.notify_all();
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// The serving facade. `Send + Sync`; share it behind an `Arc` between
 /// connection handler threads.
 #[derive(Debug)]
 pub struct PodiumService {
     store: Arc<SnapshotStore>,
-    writer: Arc<Mutex<RepositoryWriter>>,
+    writer: Mutex<RepositoryWriter>,
     executor: QueryExecutor,
     sessions: SessionManager,
     max_session_lag: u64,
-    publish_policy: PublishPolicy,
-    warm_budget: Option<usize>,
+    default_deadline: Duration,
     cache_counters: CacheCounters,
     /// WAL + checkpoints; `None` when running volatile (no `--data-dir`).
-    durability: Option<Arc<DurabilityHandle>>,
+    durability: Option<DurabilityHandle>,
     /// Per-peer health, keyed by the connection label the transport
     /// passes to [`PodiumService::handle_line_from`].
     peers: Mutex<Vec<(String, PeerHealth)>>,
-    /// Joined (and thereby stopped) on drop; `None` under
-    /// [`PublishPolicy::Immediate`].
-    _flusher: Option<Flusher>,
-}
-
-/// The select parameters the publish-time warming pass pre-computes.
-fn warm_params(budget: usize) -> SelectParams {
-    SelectParams {
-        budget,
-        weight: WeightScheme::LinearBySize,
-        cov: CovScheme::Single,
-        quota_hash: 0,
-    }
 }
 
 impl PodiumService {
     /// Builds the service: epoch-0 snapshot from `repo` under `buckets`,
-    /// then the worker pool, and — under [`PublishPolicy::Batched`] — the
-    /// background flusher that publishes one epoch per batch and warms
-    /// the new epoch's memo cache.
+    /// then the worker pool.
     pub fn new(repo: UserRepository, buckets: &PropertyBuckets, config: ServiceConfig) -> Self {
         let (store, writer) = RepositoryWriter::with_mode(repo, buckets, config.publish_mode);
         Self::assemble(store, writer, config, None)
@@ -339,7 +278,7 @@ impl PodiumService {
             report.next_seq,
             report.wal_bytes,
         )?;
-        let handle = Arc::new(DurabilityHandle {
+        let handle = DurabilityHandle {
             inner: Mutex::new(DurabilityState {
                 wal,
                 dir: opts.data_dir,
@@ -351,7 +290,7 @@ impl PodiumService {
             recovery_replayed: AtomicU64::new(report.replayed_frames),
             checkpoint_failures: AtomicU64::new(0),
             last_checkpoint_error: Mutex::new(None),
-        });
+        };
         Ok((Self::assemble(store, writer, config, Some(handle)), report))
     }
 
@@ -359,69 +298,26 @@ impl PodiumService {
         store: Arc<SnapshotStore>,
         writer: RepositoryWriter,
         config: ServiceConfig,
-        durability: Option<Arc<DurabilityHandle>>,
+        durability: Option<DurabilityHandle>,
     ) -> Self {
-        let writer = Arc::new(Mutex::new(writer));
-        let executor = QueryExecutor::new(
-            Arc::clone(&store),
-            ExecutorConfig {
-                workers: config.workers,
-                queue_capacity: config.queue_capacity,
-                default_deadline: Duration::from_millis(config.default_deadline_ms),
-            },
-        );
-        let flusher = match config.publish_policy {
-            PublishPolicy::Immediate => None,
-            PublishPolicy::Batched { interval_ms } => Some(spawn_flusher(
-                Arc::clone(&writer),
-                Arc::clone(&store),
-                Duration::from_millis(interval_ms.max(1)),
-                config.warm_budget,
-                durability.clone(),
-            )),
-        };
+        let executor =
+            QueryExecutor::new(Arc::clone(&store), config.workers, config.queue_capacity);
         Self {
             store,
-            writer,
+            writer: Mutex::new(writer),
             executor,
             sessions: SessionManager::new(),
             max_session_lag: config.max_session_lag,
-            publish_policy: config.publish_policy,
-            warm_budget: config.warm_budget,
+            default_deadline: Duration::from_millis(config.default_deadline_ms),
             cache_counters: CacheCounters::default(),
             durability,
             peers: Mutex::new(Vec::new()),
-            _flusher: flusher,
         }
     }
 
     /// The durability handle, when the service runs with a data dir.
-    pub fn durability(&self) -> Option<&Arc<DurabilityHandle>> {
+    pub fn durability(&self) -> Option<&DurabilityHandle> {
         self.durability.as_ref()
-    }
-
-    /// Publishes any queued updates right now (one epoch for the whole
-    /// batch) and runs the warming select, regardless of policy. Returns
-    /// the published epoch, or `None` when nothing was pending.
-    pub fn flush(&self) -> Result<Option<u64>, ServiceError> {
-        let published = {
-            let mut writer = poison::checked(self.writer.lock())?;
-            let published = writer.publish_if_dirty();
-            if published.is_some() {
-                if let Some(d) = &self.durability {
-                    // Checkpoints are accelerators: a failed one costs
-                    // recovery time, never durability (the WAL has it all).
-                    d.checkpoint_if_due(&writer);
-                }
-            }
-            published
-        };
-        if published.is_some() {
-            if let Some(budget) = self.warm_budget {
-                let _ = self.store.load().select(&warm_params(budget), None);
-            }
-        }
-        Ok(published)
     }
 
     /// The snapshot store (for embedding callers that read directly).
@@ -503,36 +399,33 @@ impl PodiumService {
         peers.push(entry);
     }
 
-    /// A select pinned to `session`'s opening epoch: the same retirement
-    /// rule as `refine`, then the (possibly constrained) select runs
-    /// directly against the pinned snapshot — repeated constrained
-    /// selects in one session hit that snapshot's memo cache, keyed by
-    /// the quota-hashed [`SelectParams`].
-    fn pinned_select(
-        &self,
-        session: u64,
-        params: SelectParams,
-        constraints: Option<SelectConstraints>,
-        deadline: Option<Duration>,
-    ) -> Result<SelectOutcome, ServiceError> {
+    /// The absolute deadline of a request accepted now: `deadline_ms`,
+    /// else the configured default. Fixed before the request queues, so
+    /// queue wait counts against it; every computed select polls it, and
+    /// a memo hit is served even past it.
+    fn deadline(&self, deadline_ms: Option<u64>) -> Instant {
+        Instant::now() + deadline_ms.map_or(self.default_deadline, Duration::from_millis)
+    }
+
+    /// The snapshot `session` is pinned to, unless the pin has fallen more
+    /// than `max_session_lag` epochs behind the current one: then the
+    /// session is closed and the request fails with `session_retired`.
+    /// The pinned snapshot holds a full repository copy alive, and after
+    /// enough churn the client's group ids no longer describe the live
+    /// data anyway. Pinned selects and `refine` both go through here.
+    fn pinned(&self, session: u64) -> Result<Arc<Snapshot>, ServiceError> {
         let current = self.store.epoch();
-        if let Some(retired) = self.sessions.with_session(session, |s| {
-            let pinned = s.snapshot().epoch();
-            Ok((current.saturating_sub(pinned) > self.max_session_lag).then_some(pinned))
-        })? {
+        let snapshot = self.sessions.snapshot(session)?;
+        let pinned = snapshot.epoch();
+        if current.saturating_sub(pinned) > self.max_session_lag {
             self.sessions.close(session)?;
             return Err(ServiceError::SessionRetired {
                 session,
-                pinned: retired,
+                pinned,
                 current,
             });
         }
-        let absolute =
-            Instant::now() + deadline.unwrap_or(self.executor.config().default_deadline);
-        self.sessions.with_session(session, |s| match &constraints {
-            Some(c) => s.snapshot().select_constrained(&params, c, Some(absolute), false),
-            None => s.snapshot().select(&params, Some(absolute)),
-        })
+        Ok(snapshot)
     }
 
     /// Handles a parsed request.
@@ -546,25 +439,28 @@ impl PodiumService {
                 stale_ok,
             } => {
                 let started = Instant::now();
-                let deadline = deadline_ms.map(Duration::from_millis);
+                let deadline = self.deadline(deadline_ms);
                 let outcome = match session {
-                    // Session-pinned: serve against the epoch the session
-                    // was opened on, under the same retirement rule as
-                    // `refine`. Memoization falls out of that snapshot's
-                    // select cache, keyed by the quota-hashed params.
-                    Some(id) => self.pinned_select(id, params, constraints, deadline)?,
-                    None => match constraints {
-                        Some(c) => self.executor.run_select_constrained(params, c, deadline)?,
-                        None => self.executor.run_select(params, deadline, stale_ok)?,
-                    },
+                    // Session-pinned: serve on the epoch the session was
+                    // opened on, outside the session-table lock. The
+                    // pinned epoch is the point, so `stale_ok` never
+                    // applies there.
+                    Some(id) => self.pinned(id)?.serve(
+                        &params,
+                        constraints.as_ref(),
+                        Some(deadline),
+                        false,
+                    )?,
+                    None => self.executor.run(move |snapshot| {
+                        snapshot.serve(&params, constraints.as_ref(), Some(deadline), stale_ok)
+                    })??,
                 };
                 self.cache_counters.record(outcome.cache_hit, outcome.stale);
-                let elapsed_us = started.elapsed().as_micros() as u64;
                 let mut fields = vec![
                     ("epoch", num_u64(outcome.epoch)),
                     ("users", string_array(&outcome.names)),
                     ("score", num_f64(outcome.selection.score)),
-                    ("elapsed_us", num_u64(elapsed_us)),
+                    ("elapsed_us", num_u64(elapsed_micros(started))),
                 ];
                 if stale_ok {
                     // Only opted-in clients see the staleness contract
@@ -575,9 +471,10 @@ impl PodiumService {
                 Ok(ok_response(fields))
             }
             Request::Explain { params, top_k } => {
+                let deadline = self.deadline(None);
                 let report: Result<(u64, Value), ServiceError> =
                     self.executor.run(move |snapshot| {
-                        let outcome = snapshot.select(&params, None)?;
+                        let outcome = snapshot.select(&params, Some(deadline))?;
                         let weights = params.weight.weights(snapshot.groups());
                         let covs = params.cov.cov(snapshot.groups(), params.budget);
                         let inst = DiversificationInstance::new(snapshot.groups(), weights, covs);
@@ -614,23 +511,7 @@ impl PodiumService {
                 delta,
                 params,
             } => {
-                // Retire sessions whose pinned epoch has fallen too far
-                // behind: the pinned snapshot holds a full repository copy
-                // alive, and after enough churn the client's group ids no
-                // longer describe the live data anyway.
-                let current = self.store.epoch();
-                if let Some(retired) = self.sessions.with_session(session, |s| {
-                    let pinned = s.snapshot().epoch();
-                    Ok(current.saturating_sub(pinned) > self.max_session_lag)
-                        .map(|r| r.then_some(pinned))
-                })? {
-                    self.sessions.close(session)?;
-                    return Err(ServiceError::SessionRetired {
-                        session,
-                        pinned: retired,
-                        current,
-                    });
-                }
+                self.pinned(session)?;
                 self.sessions.with_session(session, |s| {
                     let custom = s.refine(&delta, params.weight, params.cov, params.budget)?;
                     let names = s.snapshot().user_names(custom.users());
@@ -665,44 +546,25 @@ impl PodiumService {
                     // resolved in the client's disfavor, exactly like a
                     // crash between send and ack.
                     writer.validate(&update)?;
-                    let epoch_hint = match self.publish_policy {
-                        PublishPolicy::Immediate => writer.epoch().saturating_add(1),
-                        PublishPolicy::Batched { .. } => 0,
-                    };
-                    d.log_update(epoch_hint, &update)?;
+                    d.log_update(writer.epoch().saturating_add(1), &update)?;
                 }
                 let outcome = writer.apply(&update)?;
-                let (epoch, queued) = match self.publish_policy {
-                    // One epoch per update: the original behavior.
-                    PublishPolicy::Immediate => (writer.publish(), false),
-                    // The flusher publishes the whole batch as one epoch;
-                    // report the last *published* epoch so clients can
-                    // poll for visibility.
-                    PublishPolicy::Batched { .. } => (self.store.epoch(), true),
-                };
+                let epoch = writer.publish();
                 if let Some(d) = &self.durability {
-                    if matches!(self.publish_policy, PublishPolicy::Immediate) {
-                        // Checkpoints are accelerators: a failed one costs
-                        // recovery time, never durability. Batched-policy
-                        // checkpoints run in the flusher, after publish.
-                        d.checkpoint_if_due(&writer);
-                    }
+                    // Checkpoints are accelerators: a failed one costs
+                    // recovery time, never durability.
+                    d.checkpoint_if_due(&writer);
                 }
-                let mut fields = vec![
+                Ok(ok_response(vec![
                     ("epoch", num_u64(epoch)),
                     ("user", string(update.user)),
                     ("created_user", Value::Bool(outcome.created_user)),
                     ("regrouped", Value::Bool(outcome.regrouped)),
-                ];
-                if queued {
-                    fields.push(("queued", Value::Bool(true)));
-                }
-                Ok(ok_response(fields))
+                ]))
             }
             Request::Stats => {
                 let snapshot = self.store.load();
                 let stats = self.executor.stats();
-                let (epoch_hits, epoch_misses) = snapshot.cache_stats();
                 let (hits, misses) = self.cache_counters.totals();
                 // The epoch-build breakdown lives on the writer; a
                 // poisoned writer degrades stats rather than failing them.
@@ -775,8 +637,6 @@ impl PodiumService {
                     ),
                     ("cache_hits", num_u64(hits)),
                     ("cache_misses", num_u64(misses)),
-                    ("epoch_cache_hits", num_u64(epoch_hits)),
-                    ("epoch_cache_misses", num_u64(epoch_misses)),
                     ("stale_served", num_u64(self.cache_counters.stale_served())),
                     ("publish_mode", string(mode_name.to_owned())),
                     ("publishes", num_u64(publish.publishes)),
@@ -812,73 +672,26 @@ impl PodiumService {
     }
 }
 
-/// Spawns the batched-publish flusher: every `interval` it publishes the
-/// queued batch as one epoch and pre-computes the warming select so the
-/// first reader on the new epoch gets a memo hit.
-fn spawn_flusher(
-    writer: Arc<Mutex<RepositoryWriter>>,
-    store: Arc<SnapshotStore>,
-    interval: Duration,
-    warm_budget: Option<usize>,
-    durability: Option<Arc<DurabilityHandle>>,
-) -> Flusher {
-    let stop = Arc::new((Mutex::new(false), Condvar::new()));
-    let signal = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || loop {
-        {
-            let (lock, cv) = &*signal;
-            let mut stopped = poison::recover(lock.lock());
-            while !*stopped {
-                let (next, timeout) = poison::recover(cv.wait_timeout(stopped, interval));
-                stopped = next;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            if *stopped {
-                return;
-            }
-        }
-        let published = match writer.lock() {
-            Ok(mut w) => {
-                let published = w.publish_if_dirty();
-                if published.is_some() {
-                    if let Some(d) = &durability {
-                        // After publish, under the writer lock: the repo
-                        // has no pending updates, so the checkpoint's
-                        // epoch matches its contents exactly. Failures
-                        // cost recovery time, never durability.
-                        d.checkpoint_if_due(&w);
-                    }
-                }
-                published
-            }
-            // A poisoned writer refuses further publishes; readers keep
-            // serving the last snapshot and the service surfaces the
-            // poisoning on the next update-profile.
-            Err(_) => return,
-        };
-        if published.is_some() {
-            if let Some(budget) = warm_budget {
-                let _ = store.load().select(&warm_params(budget), None);
-            }
-        }
-    });
-    Flusher {
-        stop,
-        handle: Some(handle),
-    }
-}
-
 // Re-exported for front-ends that pretty-print protocol documentation.
 pub use protocol::Request as ProtocolRequest;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SelectParams;
     use podium_core::bucket::BucketingConfig;
+    use podium_core::weights::{CovScheme, WeightScheme};
 
     fn service() -> PodiumService {
+        service_with(ServiceConfig {
+            workers: 2,
+            queue_capacity: 32,
+            default_deadline_ms: 2000,
+            ..ServiceConfig::default()
+        })
+    }
+
+    fn service_with(config: ServiceConfig) -> PodiumService {
         let mut repo = UserRepository::new();
         let mex = repo.intern_property("avgRating Mexican");
         let thai = repo.intern_property("avgRating Thai");
@@ -890,16 +703,7 @@ mod tests {
             }
         }
         let buckets = BucketingConfig::paper_default().bucketize(&repo);
-        PodiumService::new(
-            repo,
-            &buckets,
-            ServiceConfig {
-                workers: 2,
-                queue_capacity: 32,
-                default_deadline_ms: 2000,
-                ..ServiceConfig::default()
-            },
-        )
+        PodiumService::new(repo, &buckets, config)
     }
 
     fn parse(line: &str) -> Value {
@@ -1008,13 +812,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("stats field '{field}' missing"))
         };
         // Presence, before any select ran.
-        for field in [
-            "cache_hits",
-            "cache_misses",
-            "epoch_cache_hits",
-            "epoch_cache_misses",
-            "queue_depth",
-        ] {
+        for field in ["cache_hits", "cache_misses", "queue_depth"] {
             read(&svc, field);
         }
         let mut last_hits = 0;
@@ -1034,14 +832,10 @@ mod tests {
         // Four identical selects against one epoch: one miss, three hits.
         assert_eq!(last_misses, 1);
         assert_eq!(last_hits, 3);
-        assert_eq!(read(&svc, "epoch_cache_hits"), 3);
-        assert_eq!(read(&svc, "epoch_cache_misses"), 1);
-        // Publishing resets the per-epoch counters but never the totals.
+        // Publishing never resets the totals.
         svc.handle_line(
             r#"{"op":"update-profile","user":"u1","property":"avgRating Thai","score":0.4}"#,
         );
-        assert_eq!(read(&svc, "epoch_cache_hits"), 0);
-        assert_eq!(read(&svc, "epoch_cache_misses"), 0);
         assert_eq!(read(&svc, "cache_hits"), last_hits);
         assert_eq!(read(&svc, "cache_misses"), last_misses);
     }
@@ -1098,96 +892,6 @@ mod tests {
             Some("unknown_session"),
             "{gone:?}"
         );
-    }
-
-    #[test]
-    fn batched_policy_queues_updates_until_flush() {
-        let mut repo = UserRepository::new();
-        let mex = repo.intern_property("avgRating Mexican");
-        for i in 0..16 {
-            let u = repo.add_user(format!("u{i}"));
-            repo.set_score(u, mex, (i as f64) / 16.0).unwrap();
-        }
-        let buckets = BucketingConfig::paper_default().bucketize(&repo);
-        let svc = PodiumService::new(
-            repo,
-            &buckets,
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 8,
-                default_deadline_ms: 2000,
-                // An interval the test never reaches: only the explicit
-                // flush below publishes.
-                publish_policy: PublishPolicy::Batched {
-                    interval_ms: 3_600_000,
-                },
-                warm_budget: Some(3),
-                ..ServiceConfig::default()
-            },
-        );
-        for user in ["u1", "u2", "u3"] {
-            let resp = parse(&svc.handle_line(&format!(
-                r#"{{"op":"update-profile","user":"{user}","property":"avgRating Mexican","score":0.9}}"#
-            )));
-            assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
-            assert_eq!(resp.get("queued").and_then(Value::as_bool), Some(true));
-            assert_eq!(
-                resp.get("epoch").and_then(Value::as_u64),
-                Some(0),
-                "reports the last *published* epoch while queued"
-            );
-        }
-        // Readers still see epoch 0 until the batch publishes.
-        let resp = parse(&svc.handle_line(r#"{"op":"select","budget":3}"#));
-        assert_eq!(resp.get("epoch").and_then(Value::as_u64), Some(0));
-        assert_eq!(svc.flush().unwrap(), Some(1), "one epoch for the batch");
-        assert_eq!(svc.flush().unwrap(), None, "nothing left to publish");
-        let stats = parse(&svc.handle_line(r#"{"op":"stats"}"#));
-        assert_eq!(stats.get("epoch").and_then(Value::as_u64), Some(1));
-        assert_eq!(
-            stats.get("publish_batch_size").and_then(Value::as_u64),
-            Some(3)
-        );
-        assert_eq!(stats.get("publishes").and_then(Value::as_u64), Some(1));
-        // The flush pre-warmed the budget-3 memo: the first reader on the
-        // new epoch hits it.
-        let resp = parse(&svc.handle_line(r#"{"op":"select","budget":3}"#));
-        assert_eq!(resp.get("epoch").and_then(Value::as_u64), Some(1));
-        let stats = parse(&svc.handle_line(r#"{"op":"stats"}"#));
-        assert_eq!(
-            stats.get("epoch_cache_hits").and_then(Value::as_u64),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn flusher_thread_publishes_batches_on_its_own() {
-        let mut repo = UserRepository::new();
-        let mex = repo.intern_property("avgRating Mexican");
-        for i in 0..8 {
-            let u = repo.add_user(format!("u{i}"));
-            repo.set_score(u, mex, (i as f64) / 8.0).unwrap();
-        }
-        let buckets = BucketingConfig::paper_default().bucketize(&repo);
-        let svc = PodiumService::new(
-            repo,
-            &buckets,
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 8,
-                default_deadline_ms: 2000,
-                publish_policy: PublishPolicy::Batched { interval_ms: 5 },
-                ..ServiceConfig::default()
-            },
-        );
-        svc.handle_line(
-            r#"{"op":"update-profile","user":"u1","property":"avgRating Mexican","score":0.9}"#,
-        );
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while svc.store().epoch() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(svc.store().epoch(), 1, "flusher published the batch");
     }
 
     #[test]
@@ -1632,6 +1336,85 @@ mod tests {
             Some("unknown_session"),
             "retirement closed the session server-side"
         );
+    }
+
+    /// One deadline rule: with a zero default deadline, every memo miss —
+    /// plain, constrained, session-pinned, and `explain`'s — answers
+    /// `deadline_exceeded`, while a memoized select is still served.
+    #[test]
+    fn zero_deadline_fails_every_memo_miss_but_serves_memo_hits() {
+        let svc = service_with(ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            default_deadline_ms: 0,
+            ..ServiceConfig::default()
+        });
+        let open = parse(&svc.handle_line(r#"{"op":"open-session"}"#));
+        let session = open.get("session").and_then(Value::as_u64).unwrap();
+        for line in [
+            r#"{"op":"select","budget":3}"#.to_owned(),
+            r#"{"op":"select","budget":3,"constraints":{"quotas":[{"group":0,"min_count":1}]}}"#
+                .to_owned(),
+            format!(r#"{{"op":"select","budget":3,"session":{session}}}"#),
+            r#"{"op":"explain","budget":3}"#.to_owned(),
+        ] {
+            let resp = parse(&svc.handle_line(&line));
+            assert_eq!(
+                resp.get("error").and_then(Value::as_str),
+                Some("deadline_exceeded"),
+                "{line}: {resp:?}"
+            );
+        }
+        // Memoize budget 2 on the current epoch; the service then serves
+        // it past the deadline, to plain selects and `explain` alike.
+        let params = SelectParams {
+            budget: 2,
+            weight: WeightScheme::LinearBySize,
+            cov: CovScheme::Single,
+            quota_hash: 0,
+        };
+        svc.store().load().select(&params, None).unwrap();
+        for line in [
+            r#"{"op":"select","budget":2}"#,
+            r#"{"op":"explain","budget":2}"#,
+        ] {
+            let resp = parse(&svc.handle_line(line));
+            assert_eq!(
+                resp.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "{line}: {resp:?}"
+            );
+        }
+    }
+
+    /// A pinned select serves its session's epoch even under `stale_ok`:
+    /// a memo carried into that epoch is never served to it.
+    #[test]
+    fn pinned_select_with_stale_ok_stays_fresh_on_the_pinned_epoch() {
+        let svc = service();
+        // Memoize budget 1 on epoch 0; u11's move carries it into epoch 1
+        // (see `stale_ok_select_serves_carried_memo_over_the_wire`).
+        svc.handle_line(r#"{"op":"select","budget":1}"#);
+        svc.handle_line(
+            r#"{"op":"update-profile","user":"u11","property":"avgRating Mexican","score":0.5}"#,
+        );
+        let open = parse(&svc.handle_line(r#"{"op":"open-session"}"#));
+        let session = open.get("session").and_then(Value::as_u64).unwrap();
+        assert_eq!(open.get("epoch").and_then(Value::as_u64), Some(1));
+        let unpinned = parse(&svc.handle_line(r#"{"op":"select","budget":1,"stale_ok":true}"#));
+        assert_eq!(unpinned.get("stale").and_then(Value::as_bool), Some(true));
+        assert_eq!(unpinned.get("epoch").and_then(Value::as_u64), Some(0));
+        let pinned = parse(&svc.handle_line(&format!(
+            r#"{{"op":"select","budget":1,"stale_ok":true,"session":{session}}}"#
+        )));
+        assert_eq!(
+            pinned.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{pinned:?}"
+        );
+        assert_eq!(pinned.get("epoch").and_then(Value::as_u64), Some(1));
+        assert_eq!(pinned.get("stale").and_then(Value::as_bool), Some(false));
+        assert!(pinned.get("certified_score_lb").is_some());
     }
 
     #[test]

@@ -184,6 +184,17 @@ impl SessionManager {
         self.len() == 0
     }
 
+    /// The snapshot session `id` is pinned to. Callers select on it
+    /// without holding the table lock.
+    pub fn snapshot(&self, id: u64) -> Result<Arc<Snapshot>, ServiceError> {
+        let table = poison::recover(self.inner.lock());
+        table
+            .sessions
+            .get(&id)
+            .map(|s| Arc::clone(&s.snapshot))
+            .ok_or(ServiceError::UnknownSession(id))
+    }
+
     /// Runs `f` against the session, holding the table lock for the
     /// duration (refinements are interactive-rate, not the serving hot
     /// path).
@@ -237,11 +248,11 @@ mod tests {
         .unwrap();
         w.publish();
         assert_eq!(store.epoch(), 1);
-        mgr.with_session(id, |s| {
-            assert_eq!(s.snapshot().epoch(), 0, "session still sees epoch 0");
-            Ok(())
-        })
-        .unwrap();
+        assert_eq!(
+            mgr.snapshot(id).unwrap().epoch(),
+            0,
+            "session still sees epoch 0"
+        );
         mgr.close(id).unwrap();
         assert!(mgr.is_empty());
         assert!(matches!(

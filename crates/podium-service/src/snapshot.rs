@@ -17,7 +17,6 @@
 //! the store's `RwLock` is held only for the duration of an `Arc` clone.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -172,7 +171,7 @@ pub struct PublishStats {
 const LATENCY_RING_CAP: usize = 512;
 
 /// Elapsed microseconds as `u64`, saturating at ~584k years.
-fn elapsed_micros(since: Instant) -> u64 {
+pub(crate) fn elapsed_micros(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -243,11 +242,6 @@ pub struct Snapshot {
     seeds_iden: Vec<f64>,
     /// Warm CELF seed bounds per user under `LinearBySize` weights.
     seeds_lbs: Vec<f64>,
-    /// Build breakdown of this epoch's publish.
-    build: EpochBuildStats,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    carried_hits: AtomicU64,
 }
 
 /// Cap on memoized outcomes per snapshot: parameter combinations are few
@@ -263,7 +257,6 @@ struct SnapshotParts {
     seeds_iden: Vec<f64>,
     seeds_lbs: Vec<f64>,
     carried: Vec<(SelectParams, SelectOutcome)>,
-    build: EpochBuildStats,
 }
 
 impl Snapshot {
@@ -279,10 +272,6 @@ impl Snapshot {
             carried: parts.carried,
             seeds_iden: parts.seeds_iden,
             seeds_lbs: parts.seeds_lbs,
-            build: parts.build,
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            carried_hits: AtomicU64::new(0),
         }
     }
 
@@ -315,83 +304,43 @@ impl Snapshot {
         }
     }
 
-    /// Runs lazy greedy against the prebuilt CSR graph, checking `deadline`
-    /// between greedy rounds. A deadline hit maps to
-    /// [`ServiceError::DeadlineExceeded`]; the partial prefix is discarded.
+    /// A plain (unconstrained, always-fresh) select: [`Snapshot::serve`]
+    /// with no constraints and `stale_ok = false`.
     pub fn select(
         &self,
         params: &SelectParams,
         deadline: Option<Instant>,
     ) -> Result<SelectOutcome, ServiceError> {
-        self.select_with(params, deadline, false)
+        self.serve(params, None, deadline, false)
     }
 
-    /// [`Snapshot::select`] with an explicit read mode. With
-    /// `stale_ok = true`, a memoized selection carried forward from an
-    /// earlier epoch may be served instead of recomputing: the outcome is
-    /// tagged `stale`, keeps the epoch it was computed on, and certifies
-    /// [`SelectOutcome::certified_score_lb`] against this epoch. The
-    /// default (`false`) path never serves carried outcomes, so existing
-    /// behavior is unchanged.
-    pub fn select_with(
-        &self,
-        params: &SelectParams,
-        deadline: Option<Instant>,
-        stale_ok: bool,
-    ) -> Result<SelectOutcome, ServiceError> {
-        if params.budget == 0 {
-            return Err(ServiceError::Core(
-                podium_core::error::CoreError::ZeroBudget,
-            ));
-        }
-        // Memo hit: the result was already computed against this very
-        // epoch, so it is exact. Returned even past the deadline — the
-        // deadline bounds computation, and a hit costs none.
-        if let Some(mut hit) = self.cached(params) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            hit.cache_hit = true;
-            return Ok(hit);
-        }
-        if stale_ok {
-            if let Some(hit) = self.carried.iter().find(|(p, _)| p == params) {
-                self.carried_hits.fetch_add(1, Ordering::Relaxed);
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let mut outcome = hit.1.clone();
-                outcome.cache_hit = true;
-                outcome.stale = true;
-                return Ok(outcome);
-            }
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let seeds = self.seed_pairs(params.weight);
-        let stop = move |_: usize| deadline.is_some_and(|d| Instant::now() >= d);
-        let spec = SelectSpec {
-            warm: seeds.as_deref(),
-            stop: Some(&stop),
-            ..SelectSpec::new(params.budget, Strategy::Lazy)
-        };
-        self.compute(params, &spec)
-    }
-
-    /// Quota-constrained select against this snapshot, memoized under
-    /// the quota-hash-extended [`SelectParams`] key (`params.quota_hash`
-    /// must equal `constraints.fingerprint()`).
+    /// The one select path: plain, quota-constrained (`constraints`, whose
+    /// fingerprint `params.quota_hash` must be), and bounded-staleness
+    /// (`stale_ok`) selects all run here.
     ///
-    /// Constrained runs are not deadline-interruptible — cutting the
-    /// greedy loop short could strand a quota floor — so the deadline
-    /// is only checked before computation starts. The annealing pass,
-    /// when scheduled, is step-bounded and deterministic; its cost is
-    /// bounded by the schedule, not the deadline.
-    pub fn select_constrained(
+    /// A memo hit on this epoch is exact and is served even past
+    /// `deadline` — the deadline bounds computation, and a hit costs none.
+    /// Under `stale_ok` a memo carried forward from an earlier epoch may
+    /// be served next: the outcome is tagged `stale`, keeps the epoch it
+    /// was computed on, and certifies
+    /// [`SelectOutcome::certified_score_lb`] against this epoch.
+    /// Constrained memos are never carried, so a constrained key always
+    /// recomputes here. A miss runs CELF from the epoch's warm bounds,
+    /// polling `deadline` before the first round and after every commit;
+    /// a deadline hit maps to [`ServiceError::DeadlineExceeded`] and the
+    /// partial prefix is dropped, so no quota floor is ever stranded.
+    /// The annealing pass, when scheduled, is step-bounded and runs to
+    /// completion.
+    pub fn serve(
         &self,
         params: &SelectParams,
-        constraints: &SelectConstraints,
+        constraints: Option<&SelectConstraints>,
         deadline: Option<Instant>,
         stale_ok: bool,
     ) -> Result<SelectOutcome, ServiceError> {
         debug_assert_eq!(
             params.quota_hash,
-            constraints.fingerprint(),
+            constraints.map_or(0, SelectConstraints::fingerprint),
             "quota hash must fingerprint the constraint block"
         );
         if params.budget == 0 {
@@ -400,38 +349,34 @@ impl Snapshot {
             ));
         }
         if let Some(mut hit) = self.cached(params) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
             hit.cache_hit = true;
             return Ok(hit);
         }
-        // Constrained outcomes are never carried across epochs (see the
-        // publish path), so under `stale_ok` the carried memo can only
-        // miss — but the flag still gates nothing else here.
-        let _ = stale_ok;
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(ServiceError::DeadlineExceeded);
+        if stale_ok {
+            if let Some((_, carried)) = self.carried.iter().find(|(p, _)| p == params) {
+                let mut outcome = carried.clone();
+                outcome.cache_hit = true;
+                outcome.stale = true;
+                return Ok(outcome);
+            }
         }
-        let quotas = QuotaSet::build(constraints.quotas.clone(), self.groups.len(), params.budget)
+        let quotas = constraints
+            .map(|c| QuotaSet::build(c.quotas.clone(), self.groups.len(), params.budget))
+            .transpose()
             .map_err(|e| ServiceError::BadRequest(format!("'constraints': {e}")))?;
+        let seeds = self.seed_pairs(params.weight);
+        let stop = move |_: usize| deadline.is_some_and(|d| Instant::now() >= d);
         let spec = SelectSpec {
-            quotas: Some(&quotas),
-            anneal: constraints.anneal.as_ref(),
+            quotas: quotas.as_ref(),
+            anneal: constraints.and_then(|c| c.anneal.as_ref()),
+            warm: seeds.as_deref(),
+            stop: Some(&stop),
             ..SelectSpec::new(params.budget, Strategy::Lazy)
         };
-        self.compute(params, &spec)
-    }
-
-    /// Runs one memo-missing selection on this epoch and memoizes it.
-    fn compute(
-        &self,
-        params: &SelectParams,
-        spec: &SelectSpec<'_, f64>,
-    ) -> Result<SelectOutcome, ServiceError> {
         let weights = self.weights_for(params.weight);
         let covs = params.cov.cov(&self.groups, params.budget);
         let inst = DiversificationInstance::new(&self.groups, weights, covs);
-        let selection = select(&inst, &self.csr, spec)?;
+        let selection = select(&inst, &self.csr, &spec)?;
         let names = self.user_names(&selection.users);
         let score = selection.score;
         let outcome = SelectOutcome {
@@ -477,16 +422,6 @@ impl Snapshot {
         out
     }
 
-    /// This epoch's build breakdown, as recorded by the publishing writer.
-    pub fn build_stats(&self) -> &EpochBuildStats {
-        &self.build
-    }
-
-    /// Carried (stale-served) memo hits on this epoch.
-    pub fn carried_hit_count(&self) -> u64 {
-        self.carried_hits.load(Ordering::Relaxed)
-    }
-
     fn cached(&self, params: &SelectParams) -> Option<SelectOutcome> {
         let cache = poison::recover(self.select_cache.lock());
         cache
@@ -504,15 +439,6 @@ impl Snapshot {
             cache.remove(0);
         }
         cache.push((*params, outcome.clone()));
-    }
-
-    /// `(hits, misses)` of the memoized select cache — one miss per
-    /// distinct parameter combination per epoch in the steady state.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Resolves user ids to names against this snapshot's repository.
@@ -599,8 +525,6 @@ pub struct RepositoryWriter {
     inc: IncrementalGroups,
     epoch: u64,
     mode: PublishMode,
-    /// Whether changes have been applied since the last publish.
-    dirty: bool,
     /// Updates applied since the last publish (the next epoch's batch).
     pending_updates: u64,
     /// Warm CELF seed bounds maintained across incremental publishes.
@@ -727,7 +651,6 @@ impl RepositoryWriter {
                 seeds_iden: seeds.iden.clone(),
                 seeds_lbs: seeds.lbs.clone(),
                 carried: Vec::new(),
-                build: EpochBuildStats::default(),
             },
         ));
         let store = Arc::new(SnapshotStore::new(snap));
@@ -737,7 +660,6 @@ impl RepositoryWriter {
             inc,
             epoch: 0,
             mode,
-            dirty: false,
             pending_updates: 0,
             seeds,
             retired: Vec::new(),
@@ -878,7 +800,6 @@ impl RepositoryWriter {
             }
         }
         let (old, new) = self.inc.update_score(uid, pid, update.score);
-        self.dirty = true;
         self.pending_updates += 1;
         if self.mode == PublishMode::Incremental && !self.pending_log_overflow {
             if self.pending_log.len() >= UPDATE_LOG_CAP {
@@ -1037,7 +958,6 @@ impl RepositoryWriter {
                     Vec::new()
                 },
                 carried,
-                build,
             },
         ));
         let swapped = self.store.swap(snap);
@@ -1046,7 +966,6 @@ impl RepositoryWriter {
         self.reclaim();
         self.prune_history();
         self.stats.record(build);
-        self.dirty = false;
         self.epoch
     }
 
@@ -1202,11 +1121,6 @@ impl RepositoryWriter {
         self.seeds.epochs_since_exact += 1;
     }
 
-    /// Publishes only if updates were applied since the last publish.
-    pub fn publish_if_dirty(&mut self) -> Option<u64> {
-        self.dirty.then(|| self.publish())
-    }
-
     /// Moves the buffers of retired snapshots nobody references anymore
     /// into the recycle pool.
     fn reclaim(&mut self) {
@@ -1316,7 +1230,7 @@ mod tests {
             .unwrap();
             w.publish();
         }
-        let build = *store.load().build_stats();
+        let build = w.publish_stats().last;
         assert!(build.patched, "CSR was patched");
         assert!(build.groups_patched, "group set was patched in place");
         assert!(build.repo_replayed, "repository was caught up by replay");
@@ -1330,7 +1244,7 @@ mod tests {
         })
         .unwrap();
         w.publish();
-        let build = *store.load().build_stats();
+        let build = w.publish_stats().last;
         assert!(!build.patched);
         assert!(!build.groups_patched);
         assert!(build.repo_replayed, "replay survives user creation");
@@ -1355,7 +1269,7 @@ mod tests {
             .unwrap();
             w.publish();
         }
-        let build = *store.load().build_stats();
+        let build = w.publish_stats().last;
         assert!(build.patched && build.groups_patched && build.repo_replayed);
     }
 
@@ -1548,20 +1462,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_if_dirty_skips_clean_publishes() {
-        let (_store, mut w) = writer();
-        assert_eq!(w.publish_if_dirty(), None);
-        w.apply(&ProfileUpdate {
-            user: "Bob".into(),
-            property: "avgRating Mexican".into(),
-            score: Some(0.9),
-        })
-        .unwrap();
-        assert_eq!(w.publish_if_dirty(), Some(1));
-        assert_eq!(w.publish_if_dirty(), None);
-    }
-
-    #[test]
     fn repeated_selects_hit_the_memo_cache() {
         let (store, _w) = writer();
         let snap = store.load();
@@ -1575,7 +1475,8 @@ mod tests {
         let second = snap.select(&params, None).unwrap();
         assert_eq!(first.names, second.names);
         assert_eq!(first.selection, second.selection);
-        assert_eq!(snap.cache_stats(), (1, 1), "second call was a pure hit");
+        assert!(!first.cache_hit, "first call computed");
+        assert!(second.cache_hit, "second call was a pure hit");
         // Different parameters are separate entries, not collisions.
         let other = SelectParams {
             budget: 2,
@@ -1585,7 +1486,7 @@ mod tests {
         };
         let third = snap.select(&other, None).unwrap();
         assert_eq!(third.selection.users.len(), 2);
-        assert_eq!(snap.cache_stats(), (1, 2));
+        assert!(!third.cache_hit);
     }
 
     #[test]
@@ -1609,11 +1510,7 @@ mod tests {
         let snap = store.load();
         let after = snap.select(&params, None).unwrap();
         assert_eq!(after.epoch, 1);
-        assert_eq!(
-            snap.cache_stats(),
-            (0, 1),
-            "new epoch starts from an empty cache"
-        );
+        assert!(!after.cache_hit, "new epoch starts from an empty cache");
         // And the fresh computation really ran against the new data.
         let rebuilt = DiversificationInstance::from_schemes(
             snap.groups(),
@@ -1651,18 +1548,18 @@ mod tests {
         .unwrap();
         w.publish();
         let snap = store.load();
-        assert!(snap.build_stats().patched, "delta was patchable");
-        assert_eq!(snap.build_stats().memos_carried, 1);
-        assert_eq!(snap.build_stats().memos_invalidated, 0);
+        let build = w.publish_stats().last;
+        assert!(build.patched, "delta was patchable");
+        assert_eq!(build.memos_carried, 1);
+        assert_eq!(build.memos_invalidated, 0);
         // Opted-in read: served from the carried memo, tagged stale,
         // keeping the epoch it was computed on.
-        let stale = snap.select_with(&params1(), None, true).unwrap();
+        let stale = snap.serve(&params1(), None, None, true).unwrap();
         assert!(stale.stale);
         assert!(stale.cache_hit);
         assert_eq!(stale.epoch, 0);
         assert_eq!(stale.names, before.names);
         assert_eq!(stale.certified_score_lb, before.selection.score);
-        assert_eq!(snap.carried_hit_count(), 1);
         // The certificate really is a lower bound on the fresh score.
         let fresh = snap.select(&params1(), None).unwrap();
         assert!(!fresh.stale);
@@ -1684,15 +1581,15 @@ mod tests {
         .unwrap();
         w.publish();
         let snap = store.load();
-        assert!(snap.build_stats().patched);
-        assert_eq!(snap.build_stats().memos_carried, 0);
-        assert_eq!(snap.build_stats().memos_invalidated, 1);
+        let build = w.publish_stats().last;
+        assert!(build.patched);
+        assert_eq!(build.memos_carried, 0);
+        assert_eq!(build.memos_invalidated, 1);
         // Even an opted-in reader gets a fresh computation.
-        let out = snap.select_with(&params1(), None, true).unwrap();
+        let out = snap.serve(&params1(), None, None, true).unwrap();
         assert!(!out.stale);
         assert!(!out.cache_hit);
         assert_eq!(out.epoch, 1);
-        assert_eq!(snap.carried_hit_count(), 0);
     }
 
     #[test]
@@ -1709,11 +1606,12 @@ mod tests {
         .unwrap();
         w.publish();
         let snap = store.load();
-        assert!(!snap.build_stats().patched);
-        assert_eq!(snap.build_stats().csr_patch_micros, 0);
-        assert_eq!(snap.build_stats().memos_carried, 0);
-        assert_eq!(snap.build_stats().memos_invalidated, 1);
-        let out = snap.select_with(&params1(), None, true).unwrap();
+        let build = w.publish_stats().last;
+        assert!(!build.patched);
+        assert_eq!(build.csr_patch_micros, 0);
+        assert_eq!(build.memos_carried, 0);
+        assert_eq!(build.memos_invalidated, 1);
+        let out = snap.serve(&params1(), None, None, true).unwrap();
         assert!(!out.stale, "nothing carried to serve stale from");
     }
 
@@ -1806,7 +1704,7 @@ mod tests {
             quota_hash: 0,
         };
         let plain = snap.select(&params, None).unwrap();
-        assert_eq!(snap.cache_stats(), (0, 1));
+        assert!(!plain.cache_hit);
         // Same budget and schemes at the same epoch, but quota'd: the
         // extended memo key keeps this a fresh miss, never `plain`
         // served from the unconstrained entry.
@@ -1823,17 +1721,19 @@ mod tests {
             ..params
         };
         assert_ne!(cparams.quota_hash, 0);
-        let constrained = snap.select_constrained(&cparams, &constraints, None, false).unwrap();
+        let constrained = snap
+            .serve(&cparams, Some(&constraints), None, false)
+            .unwrap();
         assert!(!constrained.cache_hit, "constrained select must not alias");
-        assert_eq!(snap.cache_stats(), (0, 2));
         // Both entries coexist; each repeat is a pure hit on its own key.
         let again = snap.select(&params, None).unwrap();
         assert!(again.cache_hit);
         assert_eq!(again.selection, plain.selection);
-        let cagain = snap.select_constrained(&cparams, &constraints, None, false).unwrap();
+        let cagain = snap
+            .serve(&cparams, Some(&constraints), None, false)
+            .unwrap();
         assert!(cagain.cache_hit);
         assert_eq!(cagain.selection, constrained.selection);
-        assert_eq!(snap.cache_stats(), (2, 2));
     }
 
     #[test]
@@ -1863,7 +1763,9 @@ mod tests {
             cov: CovScheme::Single,
             quota_hash: constraints.fingerprint(),
         };
-        let outcome = snap.select_constrained(&params, &constraints, None, false).unwrap();
+        let outcome = snap
+            .serve(&params, Some(&constraints), None, false)
+            .unwrap();
         assert!(
             outcome.selection.covered_counts[gid.index()] >= 1,
             "quota floor holds on the returned selection"
@@ -1885,7 +1787,7 @@ mod tests {
             quota_hash: impossible.fingerprint(),
         };
         let err = snap
-            .select_constrained(&iparams, &impossible, None, false)
+            .serve(&iparams, Some(&impossible), None, false)
             .unwrap_err();
         match err {
             ServiceError::Infeasible { group, .. } => assert_eq!(group, Some(gid.0)),
@@ -1908,7 +1810,7 @@ mod tests {
             quota_hash: unknown.fingerprint(),
         };
         let err = snap
-            .select_constrained(&uparams, &unknown, None, false)
+            .serve(&uparams, Some(&unknown), None, false)
             .unwrap_err();
         assert_eq!(err.code(), "bad_request", "{err:?}");
     }
@@ -1943,26 +1845,26 @@ mod tests {
             cov: CovScheme::Single,
             quota_hash: greedy_only.fingerprint(),
         };
-        let greedy = snap.select_constrained(&base, &greedy_only, None, false).unwrap();
+        let greedy = snap.serve(&base, Some(&greedy_only), None, false).unwrap();
         let annealed = snap
-            .select_constrained(
+            .serve(
                 &SelectParams {
                     quota_hash: with_anneal.fingerprint(),
                     ..base
                 },
-                &with_anneal,
+                Some(&with_anneal),
                 None,
                 false,
             )
             .unwrap();
         assert!(annealed.selection.score >= greedy.selection.score);
         let repeat = snap
-            .select_constrained(
+            .serve(
                 &SelectParams {
                     quota_hash: with_anneal.fingerprint(),
                     ..base
                 },
-                &with_anneal,
+                Some(&with_anneal),
                 None,
                 false,
             )
@@ -1993,7 +1895,7 @@ mod tests {
         store.load().select(&params1(), None).unwrap();
         store
             .load()
-            .select_constrained(&cparams, &constraints, None, false)
+            .serve(&cparams, Some(&constraints), None, false)
             .unwrap();
         // Frank's move keeps the unconstrained memo carriable (see
         // `stale_ok_serves_carried_memo_with_certificate`).
@@ -2005,20 +1907,19 @@ mod tests {
         .unwrap();
         w.publish();
         let snap = store.load();
+        let build = w.publish_stats().last;
         assert_eq!(
-            snap.build_stats().memos_carried,
-            1,
+            build.memos_carried, 1,
             "the unconstrained memo still carries"
         );
         assert_eq!(
-            snap.build_stats().memos_invalidated,
-            1,
+            build.memos_invalidated, 1,
             "the constrained memo is dropped: a delta can move users into \
              a quota'd group without touching covered groups"
         );
         // And the stale-ok read of the constrained params recomputes.
         let after = snap
-            .select_constrained(&cparams, &constraints, None, true)
+            .serve(&cparams, Some(&constraints), None, true)
             .unwrap();
         assert!(!after.stale);
         assert_eq!(after.epoch, 1);

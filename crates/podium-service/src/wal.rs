@@ -16,10 +16,10 @@
 //!
 //! `seq` increases by exactly one per frame across the log's lifetime
 //! (checkpoints record the last `seq` they contain, so recovery replays
-//! only the suffix). `epoch` is the epoch the batch was published at —
-//! `0` means *unassigned*: the batch was accepted under the batched
-//! publish policy and recovery assigns the next epoch itself. A `null`
-//! score is a retraction, exactly as on the wire.
+//! only the suffix). `epoch` is the epoch the batch was published at;
+//! epochs increase strictly from frame to frame, so recovery stops at a
+//! frame whose epoch is not ahead of the one before it (including `0`).
+//! A `null` score is a retraction, exactly as on the wire.
 //!
 //! The checksum is a splitmix64-folded CRC: the payload length seeds a
 //! splitmix64 state, each little-endian 8-byte chunk (zero-padded tail)
@@ -120,8 +120,7 @@ pub fn frame_checksum(payload: &[u8]) -> u64 {
 pub struct WalFrame {
     /// Log-lifetime sequence number, contiguous from 1.
     pub seq: u64,
-    /// Epoch the batch was published at; `0` = unassigned (batched
-    /// policy), recovery numbers it when it republishes.
+    /// Epoch the batch was published at, ahead of every earlier frame's.
     pub epoch: u64,
     /// The accepted updates, in application order.
     pub updates: Vec<ProfileUpdate>,

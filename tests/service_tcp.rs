@@ -346,7 +346,7 @@ fn soak_quotas() -> Vec<Quota> {
 /// One seed's *constrained* soak: resilient clients fire quota- and
 /// anneal-carrying selects through the chaos proxy while the writer
 /// publishes epochs. Every ok response must be bit-identical to the
-/// single-threaded mirror's `select_constrained` at its epoch, and the
+/// single-threaded mirror's constrained `serve` at its epoch, and the
 /// quota windows must hold on every ok response (re-derived from the
 /// mirror's group universe, not trusted from the server).
 fn constrained_soak_one_seed(seed: u64) {
@@ -475,7 +475,7 @@ fn constrained_soak_one_seed(seed: u64) {
                 .get(*epoch as usize)
                 .unwrap_or_else(|| panic!("served epoch {epoch} beyond the update stream"));
             let expected = snapshot
-                .select_constrained(&params, &constraints, None, false)
+                .serve(&params, Some(&constraints), None, false)
                 .expect("mirror constrained select");
             assert_eq!(
                 users, &expected.names,
