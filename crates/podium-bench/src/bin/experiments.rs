@@ -396,10 +396,16 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
             print!("{}", scalability_exp::render(&rows, "users"));
             let x: Vec<f64> = rows.iter().map(|r| r.users as f64).collect();
             let y: Vec<f64> = rows.iter().map(|r| r.podium_ms).collect();
-            println!(
-                "podium linearity R\u{b2} = {:.4}",
-                scalability_exp::linear_r2(&x, &y)
-            );
+            let r2 = scalability_exp::linear_r2(&x, &y);
+            println!("podium linearity R\u{b2} = {r2:.4}");
+            // The checked-in artifact: the numbers EXPERIMENTS.md cites.
+            let written = scalability_exp::bench16_json(&rows, r2, args.budget, args.seed)
+                .map_err(|e| e.to_string())
+                .and_then(|text| std::fs::write("BENCH_16.json", text).map_err(|e| e.to_string()));
+            match written {
+                Ok(()) => println!("wrote BENCH_16.json"),
+                Err(e) => println!("could not write BENCH_16.json: {e}"),
+            }
         }
         "fig6" => {
             header("Figure 6: execution time vs profile size (|U| fixed)");

@@ -13,6 +13,8 @@ use std::time::Instant;
 use podium_baselines::prelude::*;
 use podium_data::derive::{DeriveOptions, PropertyKinds};
 use podium_data::synth::SynthConfig;
+use podium_service::protocol::{num_f64, num_u64};
+use serde_json::Value;
 
 use crate::selectors::PodiumSelector;
 
@@ -178,6 +180,59 @@ pub fn linear_r2(x: &[f64], y: &[f64]) -> f64 {
     (sxy * sxy) / (sxx * syy)
 }
 
+/// Serializes a Figure 5 sweep as the `BENCH_16.json` artifact: every
+/// point's size and timings, Podium's linearity R² over users (`r2`, as
+/// [`linear_r2`] gives it), and the ratio of Podium's time between
+/// consecutive points (2.0 per doubling of users is linear).
+pub fn bench16_json(
+    rows: &[ScalRow],
+    r2: f64,
+    budget: usize,
+    seed: u64,
+) -> serde_json::Result<String> {
+    let count = |n: usize| num_u64(u64::try_from(n).unwrap_or(u64::MAX));
+    let point = |r: &ScalRow| {
+        Value::Object(vec![
+            ("users".to_owned(), count(r.users)),
+            ("properties".to_owned(), count(r.properties)),
+            ("mean_profile".to_owned(), num_f64(r.mean_profile)),
+            ("podium_ms".to_owned(), num_f64(r.podium_ms)),
+            ("clustering_ms".to_owned(), num_f64(r.clustering_ms)),
+            ("distance_ms".to_owned(), num_f64(r.distance_ms)),
+        ])
+    };
+    let ratios = rows
+        .iter()
+        .zip(rows.iter().skip(1))
+        .map(|(from, to)| {
+            Value::Object(vec![
+                ("from_users".to_owned(), count(from.users)),
+                ("to_users".to_owned(), count(to.users)),
+                (
+                    "podium_ratio".to_owned(),
+                    num_f64(to.podium_ms / from.podium_ms),
+                ),
+            ])
+        })
+        .collect();
+    let doc = Value::Object(vec![
+        ("bench".to_owned(), Value::String("fig5".to_owned())),
+        (
+            "schema".to_owned(),
+            Value::String("podium.bench-fig5/1".to_owned()),
+        ),
+        ("budget".to_owned(), count(budget)),
+        ("seed".to_owned(), num_u64(seed)),
+        (
+            "points".to_owned(),
+            Value::Array(rows.iter().map(point).collect()),
+        ),
+        ("podium_r2".to_owned(), num_f64(r2)),
+        ("podium_doubling_ratios".to_owned(), Value::Array(ratios)),
+    ]);
+    serde_json::to_string_pretty(&doc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +262,40 @@ mod tests {
         assert!(linear_r2(&x, &y) > 0.99);
         let quad = [1.0, 4.0, 9.0, 16.0];
         assert!(linear_r2(&x, &quad) < linear_r2(&x, &y));
+    }
+
+    #[test]
+    fn bench16_records_points_r2_and_ratios() {
+        let rows = run_user_sweep(&[80, 160], 4, 3);
+        let doc: Value = serde_json::from_str(&bench16_json(&rows, 0.5, 4, 3).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("podium.bench-fig5/1")
+        );
+        let points = doc.get("points").and_then(Value::as_array).unwrap();
+        assert_eq!(points.len(), 2);
+        for key in [
+            "users",
+            "properties",
+            "mean_profile",
+            "podium_ms",
+            "clustering_ms",
+            "distance_ms",
+        ] {
+            assert!(points[1].get(key).is_some(), "{key}");
+        }
+        assert_eq!(points[1].get("users").and_then(Value::as_u64), Some(160));
+        assert_eq!(doc.get("podium_r2").and_then(Value::as_f64), Some(0.5));
+        let ratios = doc
+            .get("podium_doubling_ratios")
+            .and_then(Value::as_array)
+            .unwrap();
+        assert_eq!(ratios.len(), 1);
+        let ratio = ratios[0]
+            .get("podium_ratio")
+            .and_then(Value::as_f64)
+            .unwrap();
+        assert_eq!(ratio, rows[1].podium_ms / rows[0].podium_ms);
     }
 
     #[test]

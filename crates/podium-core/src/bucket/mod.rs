@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, Result};
 use crate::ids::BucketIdx;
-use crate::profile::UserRepository;
+use crate::profile::{PropertyColumns, UserRepository};
 
 /// A contiguous score range `b ⊆ [0, 1]`.
 ///
@@ -242,14 +242,16 @@ impl BucketingConfig {
     /// Computes `β(p)` for every property in the repository. The result is
     /// indexed by [`crate::ids::PropertyId`].
     pub fn bucketize(&self, repo: &UserRepository) -> PropertyBuckets {
-        let mut sets = Vec::with_capacity(repo.property_count());
-        let mut values: Vec<f64> = Vec::new();
-        for p in 0..repo.property_count() {
-            let pid = crate::ids::PropertyId::from_index(p);
-            values.clear();
-            values.extend(repo.property_values(pid).into_iter().map(|(_, s)| s));
-            sets.push(self.bucketize_values(&mut values));
-        }
+        self.bucketize_columns(&repo.property_columns())
+    }
+
+    /// [`BucketingConfig::bucketize`] over columns already built, so a fit
+    /// that also builds groups reads the repository once.
+    pub(crate) fn bucketize_columns(&self, columns: &PropertyColumns) -> PropertyBuckets {
+        let sets = columns
+            .iter()
+            .map(|(_, _, scores)| self.bucketize_values(&mut scores.to_vec()))
+            .collect();
         PropertyBuckets { sets }
     }
 

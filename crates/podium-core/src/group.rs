@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::bucket::{Bucket, PropertyBuckets};
 use crate::error::{CoreError, Result};
 use crate::ids::{BucketIdx, GroupId, PropertyId, UserId};
-use crate::profile::UserRepository;
+use crate::profile::{PropertyColumns, UserRepository};
 
 /// How a group came to be: a simple property × bucket group, or a
 /// materialized complex group.
@@ -84,92 +84,32 @@ impl GroupSet {
         buckets: &PropertyBuckets,
         filter: &dyn Fn(PropertyId) -> bool,
     ) -> Self {
-        let mut groups: Vec<SimpleGroup> = Vec::new();
-        let mut user_groups: Vec<Vec<GroupId>> = vec![Vec::new(); repo.user_count()];
-
-        for p in 0..repo.property_count() {
-            let pid = PropertyId::from_index(p);
-            if !filter(pid) {
-                continue;
-            }
-            let set = buckets.of(pid);
-            if set.is_empty() {
-                continue;
-            }
-            // One membership list per bucket of this property.
-            let mut memberships: Vec<Vec<UserId>> = vec![Vec::new(); set.len()];
-            for (u, s) in repo.property_values(pid) {
-                if let Some(b) = set.bucket_of(s) {
-                    memberships[b.index()].push(u);
-                }
-            }
-            for (b, members) in memberships.into_iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                let gid = GroupId::from_index(groups.len());
-                for &u in &members {
-                    user_groups[u.index()].push(gid);
-                }
-                groups.push(SimpleGroup {
-                    kind: GroupKind::Simple {
-                        property: pid,
-                        bucket: BucketIdx::from_index(b),
-                    },
-                    members,
-                });
-            }
-        }
-        Self {
-            groups,
-            user_groups,
-            buckets: buckets.clone(),
-        }
+        Self::from_columns(&repo.property_columns(), buckets, filter)
     }
 
-    /// Builds a group set from explicit `(property, bucket, members)`
-    /// triples plus the bucket definitions — the constructor used by
-    /// [`crate::incremental::IncrementalGroups::snapshot`]. Triples must be
-    /// in ascending `(property, bucket)` order with non-empty, sorted,
-    /// deduplicated member lists (matching [`GroupSet::build`]'s output
-    /// order).
-    pub fn from_simple_memberships(
-        user_count: usize,
-        triples: Vec<(PropertyId, BucketIdx, Vec<UserId>)>,
-        buckets: PropertyBuckets,
+    /// [`GroupSet::build_filtered`] over columns already built, so a fit
+    /// that also bucketizes reads the repository once.
+    pub(crate) fn from_columns(
+        columns: &PropertyColumns,
+        buckets: &PropertyBuckets,
+        filter: &dyn Fn(PropertyId) -> bool,
     ) -> Self {
-        let mut groups = Vec::with_capacity(triples.len());
-        let mut user_groups: Vec<Vec<GroupId>> = vec![Vec::new(); user_count];
-        for (property, bucket, members) in triples {
-            debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-            debug_assert!(!members.is_empty(), "empty groups are dropped");
-            let gid = GroupId::from_index(groups.len());
-            for &u in &members {
-                user_groups[u.index()].push(gid);
-            }
-            groups.push(SimpleGroup {
-                kind: GroupKind::Simple { property, bucket },
-                members,
-            });
-        }
-        Self {
-            groups,
-            user_groups,
-            buckets,
-        }
+        let slots = slot_members(columns, buckets, filter);
+        let mut set = Self::default();
+        set.assign_simple_memberships(columns.user_count(), non_empty_slots(&slots), buckets);
+        set
     }
 
-    /// In-place counterpart of [`GroupSet::from_simple_memberships`]:
-    /// rebuilds `self` from borrowed `(property, bucket, members)` triples,
-    /// reusing the existing `groups` and `user_groups` allocations. The
-    /// same preconditions apply — ascending `(property, bucket)` order,
-    /// non-empty sorted deduplicated member lists.
+    /// Rebuilds `self` from borrowed `(property, bucket, members)` triples,
+    /// reusing the existing `groups` and `user_groups` allocations. Triples
+    /// must be in ascending `(property, bucket)` order with non-empty,
+    /// sorted, deduplicated member lists: the order [`GroupSet::build`]
+    /// numbers groups in.
     ///
-    /// This is the allocation-churn fix for writers that materialize a
-    /// fresh snapshot per published epoch
-    /// ([`crate::incremental::IncrementalGroups::snapshot_into`]): member
-    /// vectors and reverse-link vectors retain their capacity across
-    /// epochs instead of being reallocated from scratch.
+    /// A writer that publishes one snapshot per epoch
+    /// ([`crate::incremental::IncrementalGroups::snapshot_into`]) keeps its
+    /// member and reverse-link vectors' capacity across epochs instead of
+    /// reallocating them from scratch.
     pub fn assign_simple_memberships<'m>(
         &mut self,
         user_count: usize,
@@ -399,16 +339,6 @@ impl GroupSet {
         }
     }
 
-    /// Finds the simple group for `(property, bucket)` if it is non-empty.
-    pub fn find_simple(&self, property: PropertyId, bucket: BucketIdx) -> Option<GroupId> {
-        self.iter()
-            .find(|(_, g)| {
-                matches!(g.kind, GroupKind::Simple { property: p, bucket: b }
-                    if p == property && b == bucket)
-            })
-            .map(|(id, _)| id)
-    }
-
     /// All simple groups defined over `property` (e.g. all buckets of
     /// `β(livesIn …)`), in bucket order.
     pub fn groups_of_property(&self, property: PropertyId) -> Vec<GroupId> {
@@ -419,6 +349,53 @@ impl GroupSet {
             .map(|(id, _)| id)
             .collect()
     }
+}
+
+/// The one membership walk behind every group build: `slots[p][b]` lists
+/// the members of `G_{p,b}`, ascending, and is empty when nobody's score
+/// falls in bucket `b`. A property without buckets, or one `filter`
+/// rejects, gets no slots; `filter` runs at most once per property.
+pub(crate) fn slot_members(
+    columns: &PropertyColumns,
+    buckets: &PropertyBuckets,
+    filter: &dyn Fn(PropertyId) -> bool,
+) -> Vec<Vec<Vec<UserId>>> {
+    columns
+        .iter()
+        .map(|(p, users, scores)| {
+            let set = buckets.of(p);
+            if set.is_empty() || !filter(p) {
+                return Vec::new();
+            }
+            let mut slots = vec![Vec::new(); set.len()];
+            for (&u, &s) in users.iter().zip(scores) {
+                if let Some(members) = set.bucket_of(s).and_then(|b| slots.get_mut(b.index())) {
+                    members.push(u);
+                }
+            }
+            slots
+        })
+        .collect()
+}
+
+/// The non-empty slots of `slots` as `(property, bucket, members)`, in
+/// `(property, bucket)` order: the `i`-th is published as group `i`.
+pub(crate) fn non_empty_slots(
+    slots: &[Vec<Vec<UserId>>],
+) -> impl Iterator<Item = (PropertyId, BucketIdx, &[UserId])> {
+    slots.iter().enumerate().flat_map(|(p, buckets)| {
+        buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .map(move |(b, members)| {
+                (
+                    PropertyId::from_index(p),
+                    BucketIdx::from_index(b),
+                    members.as_slice(),
+                )
+            })
+    })
 }
 
 /// A complex-group expression over existing groups (§3.2: "Simple user

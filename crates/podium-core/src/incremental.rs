@@ -21,7 +21,7 @@
 
 use crate::bucket::PropertyBuckets;
 use crate::engine::CsrGraph;
-use crate::group::{GroupKind, GroupSet};
+use crate::group::{non_empty_slots, slot_members, GroupKind, GroupSet};
 use crate::ids::{BucketIdx, GroupId, PropertyId, UserId};
 use crate::profile::UserRepository;
 
@@ -105,17 +105,20 @@ pub struct IncrementalGroups {
 }
 
 impl IncrementalGroups {
-    /// Builds the structure from a repository and a fixed bucketing.
+    /// Builds the structure from a repository and a fixed bucketing, with
+    /// the same membership walk as [`GroupSet::build`].
     pub fn build(repo: &UserRepository, buckets: &PropertyBuckets) -> Self {
-        let mut slots: Vec<Vec<Vec<UserId>>> = (0..repo.property_count())
-            .map(|p| vec![Vec::new(); buckets.of(PropertyId::from_index(p)).len()])
+        let slots = slot_members(&repo.property_columns(), buckets, &|_| true);
+        // Walking slots in (property, bucket) order leaves every user's
+        // list sorted; a user holds at most one slot per profile entry.
+        let mut current: Vec<Vec<(PropertyId, BucketIdx)>> = repo
+            .iter()
+            .map(|(_, profile)| Vec::with_capacity(profile.len()))
             .collect();
-        let mut current: Vec<Vec<(PropertyId, BucketIdx)>> = vec![Vec::new(); repo.user_count()];
-        for (u, profile) in repo.iter() {
-            for (p, s) in profile.iter() {
-                if let Some(b) = buckets.of(p).bucket_of(s) {
-                    slots[p.index()][b.index()].push(u);
-                    current[u.index()].push((p, b));
+        for (p, b, members) in non_empty_slots(&slots) {
+            for u in members {
+                if let Some(row) = current.get_mut(u.index()) {
+                    row.push((p, b));
                 }
             }
         }
@@ -219,19 +222,9 @@ impl IncrementalGroups {
     /// for the selection algorithms. Group labeling and ordering match
     /// [`GroupSet::build`] on an equivalent repository.
     pub fn snapshot(&self) -> GroupSet {
-        let mut triples = Vec::new();
-        for (p, buckets) in self.slots.iter().enumerate() {
-            for (b, members) in buckets.iter().enumerate() {
-                if !members.is_empty() {
-                    triples.push((
-                        PropertyId::from_index(p),
-                        BucketIdx::from_index(b),
-                        members.clone(),
-                    ));
-                }
-            }
-        }
-        GroupSet::from_simple_memberships(self.user_count, triples, self.buckets.clone())
+        let mut out = GroupSet::default();
+        self.snapshot_into(&mut out);
+        out
     }
 
     /// In-place variant of [`IncrementalGroups::snapshot`]: rebuilds `out`
@@ -239,23 +232,9 @@ impl IncrementalGroups {
     /// allocations. A writer that publishes one snapshot per epoch calls
     /// this with the group set it is about to publish (or a recycled
     /// retired one) instead of paying a full from-scratch rebuild when only
-    /// a few slots changed. The result compares group-for-group equal to
-    /// what [`IncrementalGroups::snapshot`] returns.
+    /// a few slots changed.
     pub fn snapshot_into(&self, out: &mut GroupSet) {
-        let triples = self.slots.iter().enumerate().flat_map(|(p, buckets)| {
-            buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, members)| !members.is_empty())
-                .map(move |(b, members)| {
-                    (
-                        PropertyId::from_index(p),
-                        BucketIdx::from_index(b),
-                        members.as_slice(),
-                    )
-                })
-        });
-        out.assign_simple_memberships(self.user_count, triples, &self.buckets);
+        out.assign_simple_memberships(self.user_count, non_empty_slots(&self.slots), &self.buckets);
     }
 
     /// Materializes the CSR adjacency of the current non-empty groups
@@ -339,13 +318,7 @@ impl IncrementalGroups {
             return false;
         }
         let ranks = self.slot_ranks();
-        let group_count = self
-            .slots
-            .iter()
-            .flat_map(|buckets| buckets.iter())
-            .filter(|members| !members.is_empty())
-            .count();
-        if out.len() != group_count {
+        if out.len() != non_empty_slots(&self.slots).count() {
             return false;
         }
         let mut dirty_ranked: Vec<(usize, &[UserId])> = Vec::with_capacity(dirty_slots.len());
@@ -395,23 +368,12 @@ impl IncrementalGroups {
     /// [`EpochDelta::patchable`] (otherwise ids have shifted); slots that
     /// are currently empty are skipped.
     pub fn dirty_group_ids(&self, delta: &EpochDelta) -> Vec<u32> {
-        let dirty = &delta.dirty_slots;
-        let mut out = Vec::with_capacity(dirty.len());
-        let mut rank = 0u32;
-        let mut di = 0usize;
-        for (p, buckets) in self.slots.iter().enumerate() {
-            for (b, members) in buckets.iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                let key = (PropertyId::from_index(p), BucketIdx::from_index(b));
-                while di < dirty.len() && dirty[di] < key {
-                    di += 1;
-                }
-                if di < dirty.len() && dirty[di] == key {
-                    out.push(rank);
-                }
-                rank += 1;
+        let mut dirty = delta.dirty_slots.iter().peekable();
+        let mut out = Vec::with_capacity(delta.dirty_slots.len());
+        for (rank, (p, b, _)) in (0u32..).zip(non_empty_slots(&self.slots)) {
+            while dirty.next_if(|&&key| key < (p, b)).is_some() {}
+            if dirty.peek() == Some(&&(p, b)) {
+                out.push(rank);
             }
         }
         out
@@ -440,34 +402,24 @@ impl IncrementalGroups {
 
     /// The non-empty slot member lists in published (flat) order.
     fn non_empty_lists(&self) -> Vec<&[UserId]> {
-        self.slots
-            .iter()
-            .flat_map(|buckets| buckets.iter())
-            .filter(|members| !members.is_empty())
-            .map(Vec::as_slice)
+        non_empty_slots(&self.slots)
+            .map(|(_, _, members)| members)
             .collect()
     }
 
     /// The published rank of every slot (`u32::MAX` for empty slots).
     fn slot_ranks(&self) -> Vec<Vec<u32>> {
-        let mut rank = 0u32;
-        self.slots
+        let mut ranks: Vec<Vec<u32>> = self
+            .slots
             .iter()
-            .map(|buckets| {
-                buckets
-                    .iter()
-                    .map(|members| {
-                        if members.is_empty() {
-                            u32::MAX
-                        } else {
-                            let r = rank;
-                            rank += 1;
-                            r
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+            .map(|buckets| vec![u32::MAX; buckets.len()])
+            .collect();
+        for (rank, (p, b, _)) in (0u32..).zip(non_empty_slots(&self.slots)) {
+            if let Some(slot) = ranks.get_mut(p.index()).and_then(|r| r.get_mut(b.index())) {
+                *slot = rank;
+            }
+        }
+        ranks
     }
 }
 

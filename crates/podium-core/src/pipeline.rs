@@ -103,8 +103,9 @@ impl Podium {
         repo: &'r UserRepository,
         filter: &dyn Fn(crate::ids::PropertyId) -> bool,
     ) -> FittedPodium<'r> {
-        let buckets = self.bucketing.bucketize(repo);
-        let groups = GroupSet::build_filtered(repo, &buckets, filter);
+        let columns = repo.property_columns();
+        let buckets = self.bucketing.bucketize_columns(&columns);
+        let groups = GroupSet::from_columns(&columns, &buckets, filter);
         FittedPodium {
             config: self.clone(),
             repo,

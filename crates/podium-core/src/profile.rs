@@ -284,11 +284,42 @@ impl UserRepository {
         self.profiles.iter().filter(|pr| pr.contains(p)).count()
     }
 
-    /// All `(user, score)` observations of property `p`.
-    pub fn property_values(&self, p: PropertyId) -> Vec<(UserId, f64)> {
-        self.iter()
-            .filter_map(|(u, pr)| pr.score(p).map(|s| (u, s)))
-            .collect()
+    /// Every profile entry regrouped by property, users ascending: one
+    /// counting sort, O(|𝒰| + |𝒫| + Σ_u |P_u|).
+    pub(crate) fn property_columns(&self) -> PropertyColumns {
+        // Start each column where the previous one ends; placing users in
+        // order then leaves every cursor at its column's end.
+        let mut cursors = vec![0usize; self.property_count()];
+        for (p, _) in self.profiles.iter().flat_map(Profile::iter) {
+            if let Some(count) = cursors.get_mut(p.index()) {
+                *count += 1;
+            }
+        }
+        let mut total = 0;
+        for cursor in &mut cursors {
+            let count = *cursor;
+            *cursor = total;
+            total += count;
+        }
+        let mut users = vec![UserId(0); total];
+        let mut scores = vec![0.0; total];
+        for (u, profile) in self.iter() {
+            for (p, s) in profile.iter() {
+                if let Some(at) = cursors.get_mut(p.index()) {
+                    if let (Some(user), Some(score)) = (users.get_mut(*at), scores.get_mut(*at)) {
+                        *user = u;
+                        *score = s;
+                    }
+                    *at += 1;
+                }
+            }
+        }
+        PropertyColumns {
+            user_count: self.user_count(),
+            ends: cursors,
+            users,
+            scores,
+        }
     }
 
     /// Average profile size `avg_u |P_u|`.
@@ -390,6 +421,37 @@ impl UserRepository {
     }
 }
 
+/// Column `p` lists `(u, S_u(p))` for every user `u` with `p ∈ P_u`, users
+/// ascending. The fit reads properties only through these columns.
+#[derive(Debug)]
+pub(crate) struct PropertyColumns {
+    /// `|𝒰|` of the repository, users without any entry included.
+    user_count: usize,
+    /// Column `p` ends at `ends[p]` in `users`/`scores` and starts where
+    /// column `p - 1` ends.
+    ends: Vec<usize>,
+    users: Vec<UserId>,
+    scores: Vec<f64>,
+}
+
+impl PropertyColumns {
+    /// Number of users of the repository the columns were built from.
+    pub(crate) fn user_count(&self) -> usize {
+        self.user_count
+    }
+
+    /// Every column as `(property, users, scores)`, in property order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PropertyId, &[UserId], &[f64])> {
+        let mut start = 0;
+        self.ends.iter().enumerate().map(move |(p, &end)| {
+            let users = self.users.get(start..end).unwrap_or(&[]);
+            let scores = self.scores.get(start..end).unwrap_or(&[]);
+            start = end;
+            (PropertyId::from_index(p), users, scores)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,6 +513,24 @@ mod tests {
         let (repo, _, _, p, q) = small_repo();
         assert_eq!(repo.property_support(p), 1);
         assert_eq!(repo.property_support(q), 2);
+    }
+
+    #[test]
+    fn property_columns_regroup_entries_by_property() {
+        let (mut repo, a, b, p, q) = small_repo();
+        repo.add_user("Carol"); // an empty profile
+        let unheld = repo.intern_property("visitFreq Thai");
+        let columns = repo.property_columns();
+        assert_eq!(columns.user_count(), 3);
+        let listed: Vec<(PropertyId, &[UserId], &[f64])> = columns.iter().collect();
+        assert_eq!(
+            listed,
+            vec![
+                (p, &[a][..], &[1.0][..]),
+                (q, &[a, b][..], &[0.95, 0.3][..]),
+                (unheld, &[][..], &[][..]),
+            ]
+        );
     }
 
     #[test]

@@ -484,6 +484,31 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_names_and_labels_roundtrip() {
+        let mut repo = UserRepository::new();
+        let zoe = repo.add_user("Zoé Müller");
+        let kenji = repo.add_user("健二 \"Ken\" 🎌");
+        let cafe = repo.intern_property("visitFreq Café Ñandú");
+        let tokyo = repo.intern_property("livesIn 東京\\Shibuya");
+        repo.set_score(zoe, cafe, 0.65).unwrap();
+        repo.set_score(kenji, cafe, 0.4).unwrap();
+        repo.set_score(kenji, tokyo, 1.0).unwrap();
+        let json = profiles_to_json(&repo).unwrap();
+        for opts in [LoadOptions::Strict, LoadOptions::Lenient] {
+            let (back, _) = profiles_from_json_opts(&json, opts).unwrap();
+            assert_eq!(back.user_count(), 2);
+            assert_eq!(back.user_name(zoe).unwrap(), "Zoé Müller");
+            assert_eq!(back.user_name(kenji).unwrap(), "健二 \"Ken\" 🎌");
+            let cafe = back.property_id("visitFreq Café Ñandú").unwrap();
+            let tokyo = back.property_id("livesIn 東京\\Shibuya").unwrap();
+            assert_eq!(back.score(zoe, cafe), Some(0.65));
+            assert_eq!(back.score(kenji, cafe), Some(0.4));
+            assert_eq!(back.score(kenji, tokyo), Some(1.0));
+            assert_eq!(profiles_to_json(&back).unwrap(), json);
+        }
+    }
+
+    #[test]
     fn table2_roundtrips() {
         let repo = crate::table2::table2();
         let json = profiles_to_json(&repo).unwrap();

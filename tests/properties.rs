@@ -1,12 +1,15 @@
 //! Property-based tests (proptest) for the core invariants that the
 //! paper's guarantees rest on.
 
+use podium::core::bucket::PropertyBuckets;
 use podium::core::engine::{self, SelectSpec};
 use podium::core::exact::exact_select;
 use podium::core::greedy::{greedy_select, TieBreak};
+use podium::core::group::GroupKind;
 use podium::core::submodular::{check_monotone_chain, check_submodular_witness};
 use podium::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Strategy: a random group structure over `users` users, as membership
 /// lists, plus positive integer weights and coverage sizes.
@@ -405,5 +408,181 @@ proptest! {
             .filter(|(_, g)| g.size() == max_size)
             .any(|(gid, _)| sel.covered_counts[gid.index()] > 0);
         prop_assert!(covered_max, "a maximum-size group must be covered by the first pick");
+    }
+}
+
+/// A naive per-property scan, the reference for the checks below: each
+/// user's score for `p`, users ascending.
+fn property_values(repo: &UserRepository, p: PropertyId) -> Vec<(UserId, f64)> {
+    repo.users()
+        .filter_map(|u| repo.score(u, p).map(|s| (u, s)))
+        .collect()
+}
+
+/// `β(p)` for every property, one scan per property.
+fn reference_buckets(cfg: &BucketingConfig, repo: &UserRepository) -> PropertyBuckets {
+    let sets = (0..repo.property_count())
+        .map(|p| {
+            let mut values: Vec<f64> = property_values(repo, PropertyId::from_index(p))
+                .into_iter()
+                .map(|(_, s)| s)
+                .collect();
+            cfg.bucketize_values(&mut values)
+        })
+        .collect();
+    PropertyBuckets::from_sets(sets)
+}
+
+/// The groups `G_{p,b}` in `(property, bucket)` order, empty ones dropped,
+/// and each user's groups, ascending: one scan per accepted property.
+type ReferenceGroups = (Vec<(GroupKind, Vec<UserId>)>, Vec<Vec<GroupId>>);
+
+fn reference_groups(
+    repo: &UserRepository,
+    buckets: &PropertyBuckets,
+    filter: &dyn Fn(PropertyId) -> bool,
+) -> ReferenceGroups {
+    let mut groups = Vec::new();
+    let mut links = vec![Vec::new(); repo.user_count()];
+    for p in (0..repo.property_count()).map(PropertyId::from_index) {
+        if !filter(p) {
+            continue;
+        }
+        let set = buckets.of(p);
+        for b in (0..set.len()).map(BucketIdx::from_index) {
+            let members: Vec<UserId> = property_values(repo, p)
+                .into_iter()
+                .filter(|&(_, s)| set.bucket_of(s) == Some(b))
+                .map(|(u, _)| u)
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            for u in &members {
+                links[u.index()].push(GroupId::from_index(groups.len()));
+            }
+            groups.push((
+                GroupKind::Simple {
+                    property: p,
+                    bucket: b,
+                },
+                members,
+            ));
+        }
+    }
+    (groups, links)
+}
+
+/// `set` equals `expected` group for group (kind and members) and link
+/// for link.
+fn same_groups(
+    set: &GroupSet,
+    (groups, links): &ReferenceGroups,
+    what: &str,
+) -> std::result::Result<(), TestCaseError> {
+    prop_assert_eq!(set.len(), groups.len(), "{}: group count", what);
+    for ((gid, g), (kind, members)) in set.iter().zip(groups) {
+        prop_assert_eq!(&g.kind, kind, "{}: kind of {}", what, gid);
+        prop_assert_eq!(&g.members, members, "{}: members of {}", what, gid);
+    }
+    prop_assert_eq!(set.user_count(), links.len(), "{}: user count", what);
+    for (u, row) in links.iter().enumerate() {
+        let u = UserId::from_index(u);
+        prop_assert_eq!(set.groups_of(u), row.as_slice(), "{}: links of {}", what, u);
+    }
+    Ok(())
+}
+
+/// A score on or one ulp beside a bucket edge of the paper's fixed edges
+/// (0, 0.4, 0.65, 1) for `kind < 10`, otherwise `random`.
+fn edge_score(kind: usize, random: f64) -> f64 {
+    let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+    let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+    match kind {
+        0 => 0.0,
+        1 => above(0.0),
+        2 => 1.0,
+        3 => below(1.0),
+        4 => 0.4,
+        5 => below(0.4),
+        6 => above(0.4),
+        7 => 0.65,
+        8 => below(0.65),
+        9 => above(0.65),
+        _ => random,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fit reads each property through the repository's columns; it
+    /// must equal one scan per property, for every bucketing strategy and
+    /// any property filter, on sparse repositories with empty profiles,
+    /// properties nobody has and Boolean-only properties.
+    #[test]
+    fn fit_equals_per_property_scan(
+        users in 0usize..12,
+        properties in 1usize..8,
+        entries in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>(), 0usize..14, 0.0f64..=1.0),
+            0..60,
+        ),
+        boolean_mask in any::<u64>(),
+        filter_mask in any::<u64>(),
+        (strat_idx, k, detect_boolean) in (0usize..7, 1usize..6, any::<bool>()),
+    ) {
+        use podium::core::incremental::IncrementalGroups;
+
+        let mut repo = UserRepository::new();
+        let props: Vec<PropertyId> = (0..properties)
+            .map(|p| repo.intern_property(format!("p{p}")))
+            .collect();
+        repo.intern_property("held by nobody");
+        for i in 0..users {
+            repo.add_user(format!("u{i}"));
+        }
+        if users > 0 {
+            for (u, p, kind, random) in entries {
+                let p = p.index(props.len());
+                let score = if boolean_mask >> p & 1 == 1 {
+                    if random < 0.5 { 0.0 } else { 1.0 }
+                } else {
+                    edge_score(kind, random)
+                };
+                repo.set_score(UserId::from_index(u.index(users)), props[p], score).unwrap();
+            }
+        }
+        repo.add_user("empty profile");
+
+        let strategy = match strat_idx {
+            0 => BucketStrategy::FixedEdges(vec![0.4, 0.65]),
+            1 => BucketStrategy::EqualWidth,
+            2 => BucketStrategy::Quantile,
+            3 => BucketStrategy::Jenks,
+            4 => BucketStrategy::KMeans1D,
+            5 => BucketStrategy::Kde,
+            _ => BucketStrategy::Em,
+        };
+        let cfg = BucketingConfig { strategy, buckets_per_property: k, detect_boolean };
+        let filter = |p: PropertyId| filter_mask >> p.index() & 1 == 1;
+
+        let expected_buckets = reference_buckets(&cfg, &repo);
+        let buckets = cfg.bucketize(&repo);
+        prop_assert_eq!(&buckets, &expected_buckets);
+
+        let expected = reference_groups(&repo, &buckets, &filter);
+        same_groups(&GroupSet::build_filtered(&repo, &buckets, &filter), &expected, "build_filtered")?;
+        let everything = reference_groups(&repo, &buckets, &|_| true);
+        same_groups(&GroupSet::build(&repo, &buckets), &everything, "build")?;
+        same_groups(
+            &IncrementalGroups::build(&repo, &buckets).snapshot(),
+            &everything,
+            "incremental snapshot",
+        )?;
+
+        let fitted = Podium::new().bucketing(cfg).fit_scoped(&repo, &filter);
+        prop_assert_eq!(fitted.buckets(), &expected_buckets);
+        same_groups(fitted.groups(), &expected, "fit_scoped")?;
     }
 }
