@@ -12,66 +12,172 @@
 //!   ]
 //! }
 //! ```
+//!
+//! Profile documents are read in one pass by a pull reader that goes from
+//! the text straight into a [`UserRepository`]: strings are borrowed from
+//! the text unless they hold escapes, numbers are parsed in place, and any
+//! other field is syntax-checked and skipped without building a value. The
+//! reader accepts exactly the grammar of the workspace's `serde_json` and
+//! words and places its errors the same way, so every loader reports what
+//! a parse into `{"users": [{"name": String, "properties": BTreeMap<String,
+//! f64>}]}` would: the first `users`, `name` and `properties` key wins, and
+//! within a record labels are interned in sorted order, a repeated label
+//! keeping its last score. [`profiles_to_json`] writes the same pretty text
+//! that model prints, straight from the repository.
 
-use std::collections::{BTreeMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 
-use podium_core::error::{CoreError, Result};
+use podium_core::error::CoreError;
 use podium_core::profile::UserRepository;
-use serde::{Deserialize, Serialize};
 
 use crate::load::{DataError, DataErrorKind, LoadOptions, LoadReport, Provenance};
 
-/// Serde schema of one user entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct JsonUser {
-    /// Display name.
-    pub name: String,
-    /// Property label → normalized score. `BTreeMap` keeps serialization
-    /// deterministic.
-    pub properties: BTreeMap<String, f64>,
-}
-
-/// Serde schema of the whole document.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct JsonRepository {
-    /// All users.
-    pub users: Vec<JsonUser>,
-}
-
 /// Parses a repository from the JSON interchange format.
 ///
-/// Scores outside `[0, 1]` are rejected with
-/// [`CoreError::ScoreOutOfRange`]; malformed JSON surfaces as
-/// [`JsonError::Syntax`].
-pub fn profiles_from_json(text: &str) -> std::result::Result<UserRepository, JsonError> {
-    let doc: JsonRepository = serde_json::from_str(text)?;
+/// Malformed JSON, and a document or record that does not fit the schema,
+/// surface as [`JsonError::Syntax`]; a syntax error anywhere beats a schema
+/// error, which names the first bad record. Scores outside `[0, 1]` are
+/// rejected with [`CoreError::ScoreOutOfRange`], for the first bad record
+/// and its first bad label in sorted order, once the whole document fits
+/// the schema.
+pub fn profiles_from_json(text: &str) -> Result<UserRepository, JsonError> {
     let mut repo = UserRepository::new();
-    for user in &doc.users {
-        let u = repo.add_user(&user.name);
-        for (label, &score) in &user.properties {
-            let p = repo.intern_property(label);
-            repo.set_score(u, p, score)?;
-        }
+    let mut labels = Vec::new();
+    let mut schema = None;
+    let mut score = None;
+    let envelope = Reader::new(text)
+        .document(true, |reader, _| {
+            match reader.record(&mut labels)? {
+                Err(message) => {
+                    schema.get_or_insert(message);
+                }
+                Ok(name) if schema.is_none() && score.is_none() => {
+                    score = commit(&mut repo, name, &labels).err();
+                }
+                // The load has failed; later records only need checking.
+                Ok(_) => {}
+            }
+            Ok(())
+        })
+        .map_err(|e| JsonError::Syntax(e.message))?;
+    if let Some(message) = envelope.err().or(schema) {
+        return Err(JsonError::Syntax(message));
     }
-    Ok(repo)
+    match score {
+        Some(e) => Err(JsonError::Core(e)),
+        None => Ok(repo),
+    }
 }
 
-/// Serializes a repository to the JSON interchange format (pretty-printed,
-/// deterministic key order).
-pub fn profiles_to_json(repo: &UserRepository) -> std::result::Result<String, JsonError> {
-    let mut doc = JsonRepository::default();
+/// Adds user `name` with a read record's scores, interning its labels in
+/// their sorted order.
+fn commit(
+    repo: &mut UserRepository,
+    name: impl Into<String>,
+    labels: &[(Cow<'_, str>, f64)],
+) -> Result<(), CoreError> {
+    let u = repo.add_user(name);
+    labels.iter().try_for_each(|(label, score)| {
+        let p = repo.intern_property(label);
+        repo.set_score(u, p, *score)
+    })
+}
+
+/// Serializes a repository to the JSON interchange format: two-space
+/// indentation, users in id order, each user's labels sorted, scores in
+/// Rust's shortest round-trip form (`{:?}`).
+pub fn profiles_to_json(repo: &UserRepository) -> Result<String, JsonError> {
+    let mut out = String::from("{\n  \"users\": [");
+    let mut labels = Vec::new();
     for (u, profile) in repo.iter() {
-        let mut properties = BTreeMap::new();
-        for (p, s) in profile.iter() {
-            let label = repo.property_label(p).map_err(JsonError::Core)?.to_owned();
-            properties.insert(label, s);
+        if u.index() > 0 {
+            out.push(',');
         }
-        doc.users.push(JsonUser {
-            name: repo.user_name(u).map_err(JsonError::Core)?.to_owned(),
-            properties,
-        });
+        out.push_str("\n    {\n      \"name\": ");
+        push_string(&mut out, repo.user_name(u)?);
+        out.push_str(",\n      \"properties\": {");
+        labels.clear();
+        for (p, score) in profile.iter() {
+            labels.push((repo.property_label(p)?, score));
+        }
+        sort_last_wins(&mut labels);
+        for (i, &(label, score)) in labels.iter().enumerate() {
+            out.push_str(if i == 0 { "\n        " } else { ",\n        " });
+            push_string(&mut out, label);
+            out.push_str(": ");
+            push_score(&mut out, score);
+        }
+        out.push_str(if labels.is_empty() { "}" } else { "\n      }" });
+        out.push_str("\n    }");
     }
-    Ok(serde_json::to_string_pretty(&doc)?)
+    out.push_str(if repo.user_count() == 0 {
+        "]\n}"
+    } else {
+        "\n  ]\n}"
+    });
+    Ok(out)
+}
+
+/// Appends `s` as a JSON string literal.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        // The byte at `at` is ASCII, so both halves are `str`s.
+        let (run, tail) = rest.split_at(at);
+        out.push_str(run);
+        let mut chars = tail.chars();
+        match chars.next() {
+            Some('"') => out.push_str("\\\""),
+            Some('\\') => out.push_str("\\\\"),
+            Some('\n') => out.push_str("\\n"),
+            Some('\r') => out.push_str("\\r"),
+            Some('\t') => out.push_str("\\t"),
+            Some(c) => {
+                out.push_str("\\u00");
+                let code = u32::from(c);
+                out.extend(char::from_digit(code >> 4, 16));
+                out.extend(char::from_digit(code & 0xF, 16));
+            }
+            None => {}
+        }
+        rest = chars.as_str();
+    }
+    out.push_str(rest);
+    out.push('"');
+}
+
+/// Appends a score as `{:?}` prints it, or `null` when it is not finite.
+fn push_score(out: &mut String, score: f64) {
+    use std::fmt::Write as _;
+    if score.is_finite() {
+        // podium-lint: allow(discarded-result) — fmt::Write into a String cannot fail
+        let _ = write!(out, "{score:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Sorts `(label, score)` pairs by label, stably, and keeps one pair per
+/// label with the last of its scores — what collecting them into a
+/// `BTreeMap` does.
+fn sort_last_wins<L: Ord>(labels: &mut Vec<(L, f64)>) {
+    // Written documents list each record's labels sorted and unique.
+    if labels.is_sorted_by(|a, b| a.0 < b.0) {
+        return;
+    }
+    labels.sort_by(|a, b| a.0.cmp(&b.0));
+    labels.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
+        }
+        same
+    });
 }
 
 /// Source tag used in [`Provenance`] entries of this loader.
@@ -96,85 +202,33 @@ pub(crate) struct UserArrayScan {
     pub trailing: Option<RawRecord>,
 }
 
+/// The document-level error of a profile document without a `users`
+/// array; fatal in both load modes.
+fn no_users_array() -> DataError {
+    DataError::new(
+        DataErrorKind::Syntax {
+            message: "no \"users\" array found in document".into(),
+        },
+        Provenance::document(SOURCE),
+    )
+}
+
 /// Locates the `"users"` array and extracts each balanced `{…}` record span
 /// without requiring the document as a whole to parse — the salvage pass
 /// behind [`LoadOptions::Lenient`]. String-aware: braces, brackets, and
 /// commas inside JSON strings (with escapes) are ignored. Returns a
-/// document-level [`DataError`] when no `"users"` array can be found at
-/// all; that is an envelope fault, fatal in both load modes.
-pub(crate) fn scan_user_records(text: &str) -> std::result::Result<UserArrayScan, DataError> {
+/// document-level [`DataError`] when the root object's first `"users"` key
+/// is missing or does not open an array.
+pub(crate) fn scan_user_records(text: &str) -> Result<UserArrayScan, DataError> {
     let bytes = text.as_bytes();
-    let mut line = 1usize;
-    let mut i = 0usize;
+    let (mut i, mut line) = users_array_start(bytes).ok_or_else(no_users_array)?;
 
-    // Phase 1: find the `"users"` key (outside strings) followed by `:` `[`.
-    let mut array_open = None;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\n' => {
-                line += 1;
-                i += 1;
-            }
-            b'"' => {
-                let (content_start, mut j) = (i + 1, i + 1);
-                let mut escaped = false;
-                while j < bytes.len() {
-                    match bytes[j] {
-                        _ if escaped => escaped = false,
-                        b'\\' => escaped = true,
-                        b'\n' => line += 1,
-                        b'"' => break,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if j >= bytes.len() {
-                    break; // unterminated string; no key found
-                }
-                let key = &text[content_start..j];
-                i = j + 1;
-                if key == "users" {
-                    let mut k = i;
-                    while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                        if bytes[k] == b'\n' {
-                            line += 1;
-                        }
-                        k += 1;
-                    }
-                    if k < bytes.len() && bytes[k] == b':' {
-                        k += 1;
-                        while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                            if bytes[k] == b'\n' {
-                                line += 1;
-                            }
-                            k += 1;
-                        }
-                        if k < bytes.len() && bytes[k] == b'[' {
-                            array_open = Some(k + 1);
-                            break;
-                        }
-                    }
-                }
-            }
-            _ => i += 1,
-        }
-    }
-    let Some(start) = array_open else {
-        return Err(DataError::new(
-            DataErrorKind::Syntax {
-                message: "no \"users\" array found in document".into(),
-            },
-            Provenance::document(SOURCE),
-        ));
-    };
-
-    // Phase 2: walk the array, extracting balanced records. A non-object
-    // token (stray garbage) is consumed up to the next top-level `,`/`]` and
+    // Walk the array, extracting balanced records. A non-object token
+    // (stray garbage) is consumed up to the next top-level `,`/`]` and
     // reported as a record span so it can be quarantined individually.
     let mut scan = UserArrayScan::default();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
+    while let Some(&b) = bytes.get(i) {
+        match b {
             b'\n' => {
                 line += 1;
                 i += 1;
@@ -188,8 +242,7 @@ pub(crate) fn scan_user_records(text: &str) -> std::result::Result<UserArrayScan
                 let mut in_string = false;
                 let mut escaped = false;
                 let mut complete = false;
-                while i < bytes.len() {
-                    let b = bytes[i];
+                while let Some(&b) = bytes.get(i) {
                     if b == b'\n' {
                         line += 1;
                     }
@@ -237,128 +290,671 @@ pub(crate) fn scan_user_records(text: &str) -> std::result::Result<UserArrayScan
     Ok(scan)
 }
 
-/// Validates one parsed record against the repository being built: the name
-/// must be fresh and every score finite and inside `[0, 1]`. Nothing is
-/// committed here — callers only commit records that validate in full, so a
-/// rejected record leaves no partial state.
-fn validate_record(
-    user: &JsonUser,
-    seen: &HashSet<String>,
-    prov: &Provenance,
-) -> std::result::Result<(), DataError> {
-    if seen.contains(&user.name) {
-        return Err(DataError::new(
-            DataErrorKind::Duplicate {
-                name: user.name.clone(),
-            },
-            prov.clone().named(&user.name),
-        ));
-    }
-    for (label, &score) in &user.properties {
-        if !score.is_finite() || !(0.0..=1.0).contains(&score) {
-            return Err(DataError::new(
-                DataErrorKind::BadScore {
-                    property: label.clone(),
-                    value: format!("{score}"),
-                },
-                prov.clone().named(&user.name),
-            ));
+/// Finds the root object's first `"users"` key — a string outside other
+/// strings, at nesting depth 1 of a document that opens with `{`, followed
+/// by `:` — and returns the offset just past the `[` of its array with the
+/// line that `[` is on. `None` when there is no such key, or its value is
+/// not an array. Keys are compared as written, escapes undecoded.
+fn users_array_start(bytes: &[u8]) -> Option<(usize, usize)> {
+    let mut line = 1usize;
+    let mut depth = 0usize;
+    let mut root_object = false;
+    let mut i = 0usize;
+    while let Some(&b) = bytes.get(i) {
+        i += 1;
+        match b {
+            b'\n' => line += 1,
+            b'{' | b'[' => {
+                if depth == 0 {
+                    root_object = b == b'{';
+                }
+                depth += 1;
+            }
+            b'}' | b']' => depth = depth.saturating_sub(1),
+            b'"' => {
+                // Find the closing quote. An escaped byte is skipped
+                // unexamined, a raw newline included.
+                let (start, mut escaped) = (i, false);
+                loop {
+                    match *bytes.get(i)? {
+                        _ if escaped => escaped = false,
+                        b'\\' => escaped = true,
+                        b'\n' => line += 1,
+                        b'"' => break,
+                        _ => {}
+                    }
+                    i += 1;
+                }
+                let key = bytes.get(start..i)?;
+                i += 1;
+                if depth == 1 && root_object && key == b"users" {
+                    // ASCII whitespace, form feed included, may surround
+                    // the colon.
+                    let skip = |from: usize| {
+                        let rest = bytes.get(from..).unwrap_or_default();
+                        from + rest.iter().take_while(|b| b.is_ascii_whitespace()).count()
+                    };
+                    let colon = skip(i);
+                    if bytes.get(colon) == Some(&b':') {
+                        let open = skip(colon + 1);
+                        if bytes.get(open) != Some(&b'[') {
+                            return None;
+                        }
+                        line += newlines(bytes.get(i..open)?);
+                        return Some((open + 1, line));
+                    }
+                }
+            }
+            _ => {}
         }
     }
-    Ok(())
+    None
 }
 
-/// Commits a fully-validated record.
-fn commit_record(
-    repo: &mut UserRepository,
-    user: &JsonUser,
-    prov: &Provenance,
-) -> std::result::Result<(), DataError> {
-    let u = repo.add_user(&user.name);
-    for (label, &score) in &user.properties {
-        let p = repo.intern_property(label);
-        repo.set_score(u, p, score)
-            .map_err(|e| DataError::new(DataErrorKind::Core(e), prov.clone().named(&user.name)))?;
+/// Length of the JSON whitespace run `bytes` starts with.
+fn ws_len(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .take_while(|&&b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        .count()
+}
+
+/// Number of `\n` bytes in `bytes`.
+fn newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// The records a load has admitted: the repository they built and their
+/// names.
+#[derive(Default)]
+struct Admitted<'a> {
+    repo: UserRepository,
+    names: HashSet<Cow<'a, str>>,
+}
+
+impl<'a> Admitted<'a> {
+    /// Validates one read record in full — it fits the schema, its name is
+    /// fresh and every score is finite and inside `[0, 1]` — and only then
+    /// commits it, so a rejected record leaves no partial state. `labels`
+    /// holds the record's scores as [`Reader::record`] left them.
+    fn admit(
+        &mut self,
+        record: Record<'a>,
+        labels: &[(Cow<'a, str>, f64)],
+        prov: impl Fn() -> Provenance,
+    ) -> Result<(), DataError> {
+        let name = match record {
+            Ok(name) => name,
+            Err(message) => return Err(DataError::new(DataErrorKind::Syntax { message }, prov())),
+        };
+        if self.names.contains(name.as_ref()) {
+            let kind = DataErrorKind::Duplicate {
+                name: name.to_string(),
+            };
+            return Err(DataError::new(kind, prov().named(name)));
+        }
+        let bad = labels
+            .iter()
+            .find(|(_, s)| !s.is_finite() || !(0.0..=1.0).contains(s));
+        if let Some((label, score)) = bad {
+            let kind = DataErrorKind::BadScore {
+                property: label.to_string(),
+                value: score.to_string(),
+            };
+            return Err(DataError::new(kind, prov().named(name)));
+        }
+        commit(&mut self.repo, name.as_ref(), labels)
+            .map_err(|e| DataError::new(DataErrorKind::Core(e), prov().named(name.as_ref())))?;
+        self.names.insert(name);
+        Ok(())
     }
-    Ok(())
 }
 
 /// Parses a repository with an explicit failure policy and full accounting.
 ///
 /// [`LoadOptions::Strict`] requires the document to parse as a whole and
 /// fails on the first defective record, with record/line provenance in the
-/// returned [`DataError`]. [`LoadOptions::Lenient`] salvages: records are
+/// returned [`DataError`]; a syntax error anywhere comes first, then a
+/// missing `"users"` array. [`LoadOptions::Lenient`] salvages: records are
 /// located by a string-aware scan of the `"users"` array, so even a
 /// document with a truncated tail or garbage bytes inside one record
 /// yields every other record; each defective record becomes exactly one
 /// quarantine entry in the [`LoadReport`]. In both modes a record is
 /// validated in full (fresh name, finite in-range scores) before any of it
-/// is committed, and a missing `"users"` array is fatal.
+/// is committed, and a missing `"users"` array is fatal. Both modes take
+/// the root object's first `"users"` key as written, without decoding
+/// escapes.
 pub fn profiles_from_json_opts(
     text: &str,
     opts: LoadOptions,
-) -> std::result::Result<(UserRepository, LoadReport), DataError> {
+) -> Result<(UserRepository, LoadReport), DataError> {
+    let mut admitted = Admitted::default();
+    let mut report = LoadReport::default();
+    let mut labels = Vec::new();
     if !opts.is_lenient() {
-        // Strict mode demands a syntactically complete document, not just a
-        // salvageable users array.
-        serde_json::from_str::<serde::value::Value>(text).map_err(|e| {
-            DataError::new(
-                DataErrorKind::Syntax {
-                    message: e.to_string(),
-                },
-                Provenance::document(SOURCE).at_line(e.line()),
-            )
+        let mut defect = None;
+        let envelope = Reader::new(text).document(false, |reader, idx| {
+            let start = reader.pos;
+            let record = reader.record(&mut labels)?;
+            if defect.is_none() {
+                let prov = || Provenance::record(SOURCE, idx).at_line(line_at(text, start));
+                match admitted.admit(record, &labels, prov) {
+                    Ok(()) => report.accepted += 1,
+                    Err(e) => defect = Some(e),
+                }
+            }
+            Ok(())
+        });
+        let envelope = envelope.map_err(|e| {
+            let kind = DataErrorKind::Syntax { message: e.message };
+            DataError::new(kind, Provenance::document(SOURCE).at_line(e.line))
         })?;
+        if envelope.is_err() {
+            return Err(no_users_array());
+        }
+        return match defect {
+            Some(e) => Err(e),
+            None => Ok((admitted.repo, report)),
+        };
     }
     let scan = scan_user_records(text)?;
-    let mut repo = UserRepository::new();
-    let mut report = LoadReport::default();
-    let mut seen: HashSet<String> = HashSet::new();
     for (idx, rec) in scan.records.iter().enumerate() {
-        let raw = &text[rec.start..rec.end];
-        let prov = Provenance::record(SOURCE, idx).at_line(rec.line);
-        let outcome = serde_json::from_str::<JsonUser>(raw)
-            .map_err(|e| {
-                DataError::new(
-                    DataErrorKind::Syntax {
-                        message: e.to_string(),
-                    },
-                    prov.clone(),
-                )
-            })
-            .and_then(|user| validate_record(&user, &seen, &prov).map(|()| user));
+        let raw = text.get(rec.start..rec.end).unwrap_or_default();
+        let prov = || Provenance::record(SOURCE, idx).at_line(rec.line);
+        let mut reader = Reader::new(raw);
+        let outcome = match reader
+            .record(&mut labels)
+            .and_then(|r| reader.end().map(|()| r))
+        {
+            Ok(record) => admitted.admit(record, &labels, prov),
+            Err(e) => Err(DataError::new(
+                DataErrorKind::Syntax { message: e.message },
+                prov(),
+            )),
+        };
         match outcome {
-            Ok(user) => {
-                commit_record(&mut repo, &user, &prov)?;
-                seen.insert(user.name.clone());
-                report.accepted += 1;
-            }
-            Err(e) if opts.is_lenient() => report.quarantine(e, raw),
-            Err(e) => return Err(e),
+            Ok(()) => report.accepted += 1,
+            Err(e) => report.quarantine(e, raw),
         }
     }
     if let Some(tail) = scan.trailing {
-        let idx = scan.records.len();
         let e = DataError::new(
             DataErrorKind::Syntax {
                 message: "document ends inside a record (truncated input)".into(),
             },
-            Provenance::record(SOURCE, idx).at_line(tail.line),
+            Provenance::record(SOURCE, scan.records.len()).at_line(tail.line),
         );
-        if opts.is_lenient() {
-            report.quarantine(e, &text[tail.start..tail.end]);
-        } else {
-            return Err(e);
+        report.quarantine(e, text.get(tail.start..tail.end).unwrap_or_default());
+    }
+    Ok((admitted.repo, report))
+}
+
+/// The 1-based line of byte `pos` of `text`.
+fn line_at(text: &str, pos: usize) -> usize {
+    1 + newlines(text.as_bytes().get(..pos).unwrap_or_default())
+}
+
+/// A JSON syntax error, worded and placed as `serde_json` words and places
+/// it.
+#[derive(Debug)]
+struct SyntaxError {
+    /// `"<what> at line <l> column <c>"`.
+    message: String,
+    /// The 1-based line.
+    line: usize,
+}
+
+/// The kind of a JSON value, as schema errors name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    Boolean,
+    Number,
+    String,
+    Array,
+    Object,
+}
+
+impl std::fmt::Display for Kind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Kind::Null => "null",
+            Kind::Boolean => "boolean",
+            Kind::Number => "number",
+            Kind::String => "string",
+            Kind::Array => "array",
+            Kind::Object => "object",
+        })
+    }
+}
+
+/// A value read without syntax errors, checked against the profile
+/// schema: `Err` holds the schema error as `serde_json` words it (with no
+/// position, as the schema is checked only once the text parses).
+type Schema<T> = Result<T, String>;
+
+/// A user record read without syntax errors: its name, or its schema
+/// error.
+type Record<'a> = Schema<Cow<'a, str>>;
+
+/// A pull reader over JSON text with the grammar of `serde_json`: its
+/// number syntax, escapes and surrogate pairs, no trailing commas and
+/// nothing but whitespace after the document. It stops at the first
+/// syntax error, placed where `serde_json` places it.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
+    /// The bytes not read yet.
+    fn rest(&self) -> &'a [u8] {
+        self.text.as_bytes().get(self.pos..).unwrap_or_default()
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// A syntax error at the current position.
+    fn fail(&self, what: impl std::fmt::Display) -> SyntaxError {
+        let before = self.text.as_bytes().get(..self.pos).unwrap_or_default();
+        let line = 1 + newlines(before);
+        let column = 1 + before.iter().rev().take_while(|&&b| b != b'\n').count();
+        SyntaxError {
+            message: format!("{what} at line {line} column {column}"),
+            line,
         }
     }
-    Ok((repo, report))
+
+    fn skip_ws(&mut self) {
+        self.pos += ws_len(self.rest());
+    }
+
+    /// Consumes the punctuation byte `b`, which must come next.
+    fn punct(&mut self, b: u8) -> Result<(), SyntaxError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.fail(format_args!("expected `{}`", char::from(b))))
+        }
+    }
+
+    /// The kind of the value starting at the current position, if a value
+    /// can start there.
+    fn kind(&self) -> Option<Kind> {
+        Some(match self.peek()? {
+            b'n' => Kind::Null,
+            b't' | b'f' => Kind::Boolean,
+            b'"' => Kind::String,
+            b'[' => Kind::Array,
+            b'{' => Kind::Object,
+            b'-' | b'0'..=b'9' => Kind::Number,
+            _ => return None,
+        })
+    }
+
+    /// Syntax-checks and skips one value, returning its kind.
+    fn skip_value(&mut self) -> Result<Kind, SyntaxError> {
+        self.skip_ws();
+        let Some(kind) = self.kind() else {
+            return Err(match self.peek() {
+                Some(b) => self.fail(format_args!("unexpected character `{}`", char::from(b))),
+                None => self.fail("unexpected end of input"),
+            });
+        };
+        match kind {
+            Kind::Null => self.keyword("null")?,
+            Kind::Boolean if self.peek() == Some(b't') => self.keyword("true")?,
+            Kind::Boolean => self.keyword("false")?,
+            Kind::Number => {
+                self.number()?;
+            }
+            Kind::String => {
+                self.string()?;
+            }
+            Kind::Array => self.array(|r| r.skip_value().map(|_| ()))?,
+            Kind::Object => self.object(|r, _| r.skip_value().map(|_| ()))?,
+        }
+        Ok(kind)
+    }
+
+    fn keyword(&mut self, word: &str) -> Result<(), SyntaxError> {
+        if self.rest().starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.fail(format_args!("expected `{word}`")))
+        }
+    }
+
+    /// Reads a number in place. An integer goes through `u64`/`i64` first,
+    /// so it must fit one, and its value is the nearest `f64` — `+0.0` for
+    /// `-0`.
+    fn number(&mut self) -> Result<f64, SyntaxError> {
+        let rest = self.rest();
+        let sign = usize::from(rest.first() == Some(&b'-'));
+        let body = rest.get(sign..).unwrap_or_default();
+        let len = sign
+            + body
+                .iter()
+                .take_while(|&&b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+                .count();
+        let is_float = body.iter().take(len - sign).any(|&b| !b.is_ascii_digit());
+        let text = self.text.get(self.pos..self.pos + len).unwrap_or_default();
+        self.pos += len;
+        if !is_float {
+            let fits = match text.strip_prefix('-') {
+                Some(digits) => digits.parse::<i64>().is_ok(),
+                None => text.parse::<u64>().is_ok(),
+            };
+            if !fits {
+                return Err(self.fail("integer out of range"));
+            }
+        }
+        // An integer's digits parse to the same nearest `f64` as the
+        // integer converts to, except that `-0` would keep its sign.
+        match text.parse::<f64>() {
+            Ok(value) if !is_float && value == 0.0 => Ok(0.0),
+            Ok(value) => Ok(value),
+            Err(_) => Err(self.fail("invalid number")),
+        }
+    }
+
+    /// Reads a string, borrowed from the text unless it holds escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, SyntaxError> {
+        self.punct(b'"')?;
+        let start = self.pos;
+        self.pos += self.run();
+        match self.peek() {
+            Some(b'"') => {
+                let s = self.text.get(start..self.pos).unwrap_or_default();
+                self.pos += 1;
+                Ok(Cow::Borrowed(s))
+            }
+            Some(_) => self.escaped_string(start).map(Cow::Owned),
+            None => Err(self.fail("unterminated string")),
+        }
+    }
+
+    /// Length of the run up to the next `"` or `\`. Both are ASCII, so the
+    /// run ends on a char boundary.
+    fn run(&self) -> usize {
+        let rest = self.rest();
+        rest.iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len())
+    }
+
+    /// Decodes a string whose content starts at `start` and whose first
+    /// escape is at the current position.
+    fn escaped_string(&mut self, start: usize) -> Result<String, SyntaxError> {
+        let mut out = String::from(self.text.get(start..self.pos).unwrap_or_default());
+        loop {
+            // At a backslash.
+            self.pos += 1;
+            let c = match self.peek() {
+                Some(b'u') => {
+                    self.pos += 1;
+                    self.unicode_escape()?
+                }
+                Some(b) => {
+                    let c = match b {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        _ => return Err(self.fail("invalid escape")),
+                    };
+                    self.pos += 1;
+                    c
+                }
+                None => return Err(self.fail("invalid escape")),
+            };
+            out.push(c);
+            let run = self.run();
+            out.push_str(self.text.get(self.pos..self.pos + run).unwrap_or_default());
+            self.pos += run;
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(_) => {}
+                None => return Err(self.fail("unterminated string")),
+            }
+        }
+    }
+
+    /// Decodes the four hex digits after `\u`, and after a high surrogate
+    /// the `\u` escape that follows it.
+    fn unicode_escape(&mut self) -> Result<char, SyntaxError> {
+        let cp = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&cp) {
+            if self.rest().starts_with(b"\\u") {
+                self.pos += 2;
+                let lo = self.hex4()?;
+                // `serde_json`'s arithmetic as a release build runs it: a
+                // second escape below 0xDC00 wraps instead of failing.
+                let high = 0x10000 + ((cp - 0xD800) << 10);
+                char::from_u32(high.wrapping_add(lo.wrapping_sub(0xDC00)))
+            } else {
+                None
+            }
+        } else {
+            char::from_u32(cp)
+        };
+        c.ok_or_else(|| self.fail("invalid \\u escape"))
+    }
+
+    /// Reads four hex digits. Like `serde_json`, it takes whatever
+    /// `u32::from_str_radix` takes, a leading `+` included.
+    fn hex4(&mut self) -> Result<u32, SyntaxError> {
+        let Some(digits) = self.rest().get(..4) else {
+            return Err(self.fail("truncated \\u escape"));
+        };
+        let value = std::str::from_utf8(digits)
+            .ok()
+            .and_then(|s| u32::from_str_radix(s, 16).ok())
+            .ok_or_else(|| self.fail("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(value)
+    }
+
+    /// Reads an array, calling `element` at the start of each element; it
+    /// must consume exactly one value.
+    fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), SyntaxError>,
+    ) -> Result<(), SyntaxError> {
+        self.punct(b'[')?;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            element(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.fail("expected `,` or `]`")),
+            }
+        }
+    }
+
+    /// Reads an object, calling `field` with each key at the start of its
+    /// value; it must consume exactly one value.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), SyntaxError>,
+    ) -> Result<(), SyntaxError> {
+        self.punct(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.punct(b':')?;
+            self.skip_ws();
+            field(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.fail("expected `,` or `}`")),
+            }
+        }
+    }
+
+    /// Checks that nothing but whitespace is left.
+    fn end(&mut self) -> Result<(), SyntaxError> {
+        self.skip_ws();
+        if self.rest().is_empty() {
+            Ok(())
+        } else {
+            Err(self.fail("trailing characters"))
+        }
+    }
+
+    /// Reads a whole profile document, handing `record` each element of
+    /// the root object's first `users` array with its index. Later `users`
+    /// keys and every other field are syntax-checked and skipped. With
+    /// `escaped_users_key` false, a `users` key written with escapes does
+    /// not count. The schema error is the envelope's: a root that is not an
+    /// object, or a `users` key that is missing or holds no array.
+    fn document(
+        &mut self,
+        escaped_users_key: bool,
+        mut record: impl FnMut(&mut Self, usize) -> Result<(), SyntaxError>,
+    ) -> Result<Schema<()>, SyntaxError> {
+        self.skip_ws();
+        let mut users = None;
+        if self.kind() == Some(Kind::Object) {
+            self.object(|r, key| {
+                let is_users = match key {
+                    Cow::Borrowed(key) => key == "users",
+                    Cow::Owned(key) => escaped_users_key && key == "users",
+                };
+                if !is_users || users.is_some() {
+                    return r.skip_value().map(|_| ());
+                }
+                if r.kind() != Some(Kind::Array) {
+                    let kind = r.skip_value()?;
+                    users = Some(Err(format!("expected array, found {kind}")));
+                    return Ok(());
+                }
+                users = Some(Ok(()));
+                let mut idx = 0;
+                r.array(|r| {
+                    record(r, idx)?;
+                    idx += 1;
+                    Ok(())
+                })
+            })?;
+        } else {
+            let kind = self.skip_value()?;
+            users = Some(Err(format!("expected object, found {kind}")));
+        }
+        self.end()?;
+        Ok(users.unwrap_or_else(|| Err("missing field `users`".into())))
+    }
+
+    /// Reads one user record, pushing its `(label, score)` pairs onto the
+    /// cleared `labels`, sorted by label with a repeated label keeping its
+    /// last score. The first `name` and `properties` keys count; anything
+    /// else is syntax-checked and skipped.
+    fn record(&mut self, labels: &mut Vec<(Cow<'a, str>, f64)>) -> Result<Record<'a>, SyntaxError> {
+        labels.clear();
+        self.skip_ws();
+        if self.kind() != Some(Kind::Object) {
+            let kind = self.skip_value()?;
+            return Ok(Err(format!("expected object, found {kind}")));
+        }
+        let mut name = None;
+        let mut properties = None;
+        self.object(|r, key| {
+            match &*key {
+                "name" if name.is_none() => {
+                    name = Some(if r.kind() == Some(Kind::String) {
+                        Ok(r.string()?)
+                    } else {
+                        Err(r.skip_value()?)
+                    });
+                }
+                "properties" if properties.is_none() => properties = Some(r.scores(labels)?),
+                _ => {
+                    r.skip_value()?;
+                }
+            }
+            Ok(())
+        })?;
+        let name = match name {
+            None => return Ok(Err("missing field `name`".into())),
+            Some(Err(kind)) => return Ok(Err(format!("expected string, found {kind}"))),
+            Some(Ok(name)) => name,
+        };
+        Ok(match properties {
+            None => Err("missing field `properties`".into()),
+            Some(Err(message)) => Err(message),
+            Some(Ok(())) => {
+                sort_last_wins(labels);
+                Ok(name)
+            }
+        })
+    }
+
+    /// Reads a `properties` value onto `labels`; its schema error when it
+    /// is not an object of numbers.
+    fn scores(&mut self, labels: &mut Vec<(Cow<'a, str>, f64)>) -> Result<Schema<()>, SyntaxError> {
+        if self.kind() != Some(Kind::Object) {
+            let kind = self.skip_value()?;
+            return Ok(Err(format!("expected object, found {kind}")));
+        }
+        let mut not_number = None;
+        self.object(|r, label| {
+            if r.kind() == Some(Kind::Number) {
+                labels.push((label, r.number()?));
+            } else {
+                let kind = r.skip_value()?;
+                not_number.get_or_insert(kind);
+            }
+            Ok(())
+        })?;
+        Ok(match not_number {
+            Some(kind) => Err(format!("expected number, found {kind}")),
+            None => Ok(()),
+        })
+    }
 }
 
 /// Errors from JSON profile I/O.
 #[derive(Debug)]
 pub enum JsonError {
-    /// JSON syntax or schema error.
-    Syntax(serde_json::Error),
+    /// JSON syntax or schema error. A syntax error's message ends with
+    /// its line and column.
+    Syntax(String),
     /// Semantic error (e.g. score out of range).
     Core(CoreError),
 }
@@ -366,7 +962,7 @@ pub enum JsonError {
 impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JsonError::Syntax(e) => write!(f, "JSON error: {e}"),
+            JsonError::Syntax(message) => write!(f, "JSON error: {message}"),
             JsonError::Core(e) => write!(f, "profile error: {e}"),
         }
     }
@@ -376,7 +972,7 @@ impl std::error::Error for JsonError {}
 
 impl From<serde_json::Error> for JsonError {
     fn from(e: serde_json::Error) -> Self {
-        JsonError::Syntax(e)
+        JsonError::Syntax(e.to_string())
     }
 }
 
@@ -389,7 +985,7 @@ impl From<CoreError> for JsonError {
 /// Convenience: loads profiles from a file path.
 pub fn profiles_from_path(
     path: impl AsRef<std::path::Path>,
-) -> std::result::Result<UserRepository, Box<dyn std::error::Error>> {
+) -> Result<UserRepository, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)?;
     Ok(profiles_from_json(&text)?)
 }
@@ -398,33 +994,26 @@ pub fn profiles_from_path(
 pub fn profiles_to_path(
     repo: &UserRepository,
     path: impl AsRef<std::path::Path>,
-) -> std::result::Result<(), Box<dyn std::error::Error>> {
+) -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(path, profiles_to_json(repo)?)?;
     Ok(())
 }
 
 /// Serializes a review corpus to JSON — dataset snapshots for sharing the
 /// exact ground-truth opinions an experiment ran against.
-pub fn corpus_to_json(
-    corpus: &crate::reviews::ReviewCorpus,
-) -> std::result::Result<String, JsonError> {
+pub fn corpus_to_json(corpus: &crate::reviews::ReviewCorpus) -> Result<String, JsonError> {
     Ok(serde_json::to_string(corpus)?)
 }
 
 /// Parses a review corpus back from JSON.
-pub fn corpus_from_json(
-    text: &str,
-) -> std::result::Result<crate::reviews::ReviewCorpus, JsonError> {
+pub fn corpus_from_json(text: &str) -> Result<crate::reviews::ReviewCorpus, JsonError> {
     Ok(serde_json::from_str(text)?)
 }
-
-// Re-exported so callers can use the crate-level Result alias if desired.
-#[allow(unused)]
-type CoreResult<T> = Result<T>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use podium_core::ids::UserId;
 
     const SAMPLE: &str = r#"{
         "users": [
@@ -651,6 +1240,32 @@ mod tests {
         assert_eq!(report.quarantined_count(), 1);
         let msg = report.quarantined[0].error.to_string();
         assert!(msg.contains("name"), "{msg}");
+    }
+
+    /// A `users` key nested in another top-level value is not the users
+    /// array, in any loader.
+    #[test]
+    fn nested_users_key_is_not_the_users_array() {
+        for nested in ["[]", "[1]"] {
+            let doc = format!(
+                r#"{{"meta": {{"users": {nested}}}, "users": [{{"name": "A", "properties": {{"p": 0.5}}}}]}}"#
+            );
+            assert_eq!(profiles_from_json(&doc).unwrap().user_count(), 1);
+            for opts in [LoadOptions::Strict, LoadOptions::Lenient] {
+                let (repo, report) = profiles_from_json_opts(&doc, opts).unwrap();
+                assert_eq!(repo.user_count(), 1, "{opts:?}: {doc}");
+                assert_eq!(report.summary(), "1 accepted, 0 quarantined");
+            }
+        }
+    }
+
+    /// A high surrogate followed by an escape below 0xDC00 decodes with the
+    /// wrapping arithmetic a release build of `serde_json` uses.
+    #[test]
+    fn surrogate_arithmetic_wraps() {
+        let doc = r#"{"users": [{"name": "\ud800\u0041", "properties": {}}]}"#;
+        let repo = profiles_from_json(doc).unwrap();
+        assert_eq!(repo.user_name(UserId(0)).unwrap(), "\u{2441}");
     }
 
     #[test]
