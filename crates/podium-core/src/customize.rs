@@ -190,8 +190,9 @@ pub fn custom_select(
     let _ = repo; // the repository defines 𝒰; kept for API symmetry/validation
     let base = weight.weights(groups);
     let covs = cov.cov(groups, budget);
+    let csr = CsrGraph::from_group_set(groups);
     let (selection, pool_size, feedback_group_coverage) =
-        custom_select_weighted(groups, &base, &covs, budget, feedback)?;
+        custom_select_weighted(groups, &csr, &base, &covs, budget, feedback)?;
     Ok(CustomSelection {
         selection,
         pool_size,
@@ -202,10 +203,12 @@ pub fn custom_select(
 /// The generic core of CUSTOM-DIVERSITY: works for *any* [`ScoreValue`]
 /// weight vector (f64 Iden/LBS/custom, exact EBS, …), per the framework's
 /// claim that the customization layer composes with every weight choice.
-/// Returns the lexicographic selection, the refined pool size, and the
-/// feedback group coverage.
+/// `csr` must have been built from `groups`; serving layers pass the one
+/// their snapshot already holds. Returns the lexicographic selection, the
+/// refined pool size, and the feedback group coverage.
 pub fn custom_select_weighted<T: ScoreValue>(
     groups: &GroupSet,
+    csr: &CsrGraph,
     base_weights: &[T],
     covs: &[u32],
     budget: usize,
@@ -238,7 +241,6 @@ pub fn custom_select_weighted<T: ScoreValue>(
         })
         .collect();
     let inst = DiversificationInstance::new(groups, weights, covs.to_vec());
-    let csr = CsrGraph::from_group_set(groups);
     let strategy = Strategy::Eager {
         tie_break: TieBreak::FirstUser,
     };
@@ -246,7 +248,7 @@ pub fn custom_select_weighted<T: ScoreValue>(
         eligible: Some(&eligible),
         ..SelectSpec::new(budget, strategy)
     };
-    let selection = select(&inst, &csr, &spec).expect("an eager run always completes");
+    let selection = select(&inst, csr, &spec).expect("an eager run always completes");
 
     let feedback_group_coverage = if feedback.priority.is_empty() {
         1.0
@@ -469,11 +471,13 @@ mod tests {
         let (repo, groups) = table2_setup();
         let base: Vec<EbsValue> = ebs_weights(&groups);
         let covs = crate::weights::CovScheme::Single.cov(&groups, 2);
+        let csr = CsrGraph::from_group_set(&groups);
         let feedback = Feedback {
             priority: groups_of_props(&groups, &repo, "livesIn"),
             ..Feedback::default()
         };
-        let (sel, pool, cov) = custom_select_weighted(&groups, &base, &covs, 2, &feedback).unwrap();
+        let (sel, pool, cov) =
+            custom_select_weighted(&groups, &csr, &base, &covs, 2, &feedback).unwrap();
         assert_eq!(pool, 5, "no must-have filter");
         assert_eq!(sel.users.len(), 2);
         // Tokyo (the largest livesIn group) must be covered first under EBS.
@@ -505,7 +509,9 @@ mod tests {
         .unwrap();
         let base = WeightScheme::LinearBySize.weights(&groups);
         let covs = CovScheme::Single.cov(&groups, 2);
-        let (sel, pool, cov) = custom_select_weighted(&groups, &base, &covs, 2, &feedback).unwrap();
+        let csr = CsrGraph::from_group_set(&groups);
+        let (sel, pool, cov) =
+            custom_select_weighted(&groups, &csr, &base, &covs, 2, &feedback).unwrap();
         assert_eq!(via_wrapper.users(), sel.users.as_slice());
         assert_eq!(via_wrapper.pool_size, pool);
         assert_eq!(via_wrapper.feedback_group_coverage, cov);

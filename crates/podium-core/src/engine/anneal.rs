@@ -48,11 +48,12 @@ pub struct AnnealSchedule {
     pub cooling: f64,
 }
 
-/// Replays a slate in slot order through the exact commit arithmetic of
-/// the CELF loop (per-user gain summed over still-uncovered groups,
-/// then added to the running score), so a slate identical to a greedy
+/// Replays a slate in slot order, summing each user's gain over the
+/// still-uncovered groups and adding it to the running score. Under exact
+/// arithmetic (integer-valued weights) a slate identical to a greedy
 /// output reproduces its `gains`, `score`, and `covered_counts`
-/// bit-for-bit.
+/// bit-for-bit; with other `f64` weights the sums may round differently
+/// from the greedy loop's decremental ones.
 fn replay<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
@@ -140,7 +141,7 @@ pub fn anneal_refine<W: ScoreValue>(
     let slate_len = start.users.len();
     // Nothing to swap: every user is selected, or nothing is.
     if slate_len == 0 || slate_len >= n {
-        return replay(inst, csr, &start.users.iter().map(|u| u.0).collect::<Vec<u32>>());
+        return start.clone();
     }
 
     let mut current: Vec<u32> = start.users.iter().map(|u| u.0).collect();
@@ -157,8 +158,10 @@ pub fn anneal_refine<W: ScoreValue>(
 
     let mut cov_scratch = vec![0u32; csr.group_count()];
     let mut cur_score = replay_score(inst, csr, &mut cov_scratch, &current);
-    let mut best = current.clone();
-    let mut best_score = cur_score.clone();
+    // The best slate found so far; `None` while it is still the start,
+    // which keeps its own score so the result never scores below it.
+    let mut best: Option<Vec<u32>> = None;
+    let mut best_score = start.score.clone();
 
     let mut rng = schedule.seed;
     let mut temperature = schedule.t0;
@@ -206,11 +209,14 @@ pub fn anneal_refine<W: ScoreValue>(
             .partial_cmp(&cur_score)
             .is_some_and(|o| o == std::cmp::Ordering::Less)
         {
-            best = current.clone();
+            best = Some(current.clone());
             best_score = cur_score.clone();
         }
     }
 
+    let Some(best) = best else {
+        return start.clone();
+    };
     let refined = replay(inst, csr, &best);
     debug_assert!(
         quotas.satisfied_by(&refined.covered_counts),
@@ -222,11 +228,12 @@ pub fn anneal_refine<W: ScoreValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::TieBreak;
     use crate::group::GroupSet;
-    use crate::weights::{CovScheme, WeightScheme};
+    use crate::weights::{noisy_weights, CovScheme, WeightScheme};
 
     use super::super::constrained::{Quota, QuotaBound};
-    use super::super::constrained_lazy_select;
+    use super::super::{constrained_lazy_select, select, SelectSpec, Strategy};
 
     fn groups_from(users: usize, lists: &[&[u32]]) -> GroupSet {
         let memberships: Vec<Vec<UserId>> = lists
@@ -329,5 +336,49 @@ mod tests {
             },
         );
         assert_eq!(refined, greedy);
+    }
+
+    /// With non-integer weights, re-summing a slate rounds differently
+    /// from the greedy loop's decremental gains; a walk that finds nothing
+    /// better must still hand back the start itself.
+    #[test]
+    fn zero_steps_returns_a_noisy_weight_start_bitwise() {
+        let (users, budget) = (40u64, 8);
+        let eager = Strategy::Eager {
+            tie_break: TieBreak::FirstUser,
+        };
+        for seed in 0..200u64 {
+            let mut state = seed;
+            let memberships: Vec<Vec<UserId>> = (0..60)
+                .map(|_| {
+                    let size = 1 + splitmix64(&mut state) % 10;
+                    (0..size)
+                        .map(|_| UserId((splitmix64(&mut state) % users) as u32))
+                        .collect()
+                })
+                .collect();
+            let g = GroupSet::from_memberships(users as usize, memberships);
+            let base = WeightScheme::LinearBySize.weights(&g);
+            let inst = DiversificationInstance::new(
+                &g,
+                noisy_weights(&base, 0.3, seed),
+                CovScheme::Single.cov(&g, budget),
+            );
+            let csr = CsrGraph::from_group_set(&g);
+            let start = select(&inst, &csr, &SelectSpec::new(budget, eager)).expect("eager run");
+            let refined = anneal_refine(
+                &inst,
+                &csr,
+                &QuotaSet::empty(budget),
+                &start,
+                &AnnealSchedule {
+                    seed,
+                    steps: 0,
+                    t0: 1.0,
+                    cooling: 0.9,
+                },
+            );
+            assert_eq!(refined, start, "seed {seed}");
+        }
     }
 }

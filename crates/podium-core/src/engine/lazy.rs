@@ -1,22 +1,28 @@
 //! Heap-based lazy greedy (CELF) over CSR storage — the one loop behind
-//! every lazy run: plain, warm-started, deadline-bounded, and
-//! quota-constrained.
+//! every lazy run: plain, deadline-bounded, and quota-constrained.
 //!
-//! A max-heap holds one entry per candidate, each carrying the marginal
-//! gain computed in some earlier round. Submodularity makes every stale
-//! entry an *upper bound* on the candidate's current marginal, which gives
-//! the heap invariant this module relies on:
+//! The loop keeps Algorithm 1's bookkeeping: `marg[u]`, every candidate's
+//! exact marginal gain, computed by one round-0 scan (line 2) and
+//! decremented over the member lists whenever a group becomes fully
+//! covered (lines 7–10), in the same order and arithmetic as the eager
+//! loop. A max-heap holds one entry per candidate, each carrying the value
+//! `marg[u]` had in the round it was pushed. Marginals only fall, so every
+//! stale entry is an *upper bound* on the candidate's current marginal,
+//! which gives the heap invariant this module relies on:
 //!
-//! > If the entry at the top of the heap was computed in the current round
+//! > If the entry at the top of the heap was pushed in the current round
 //! > (is *fresh*), it is the exact argmax — every other entry's bound,
 //! > and hence its true marginal, orders at or below it.
 //!
-//! Ties order by smaller user id (see [`HeapEntry`]'s `Ord`), matching the
-//! eager algorithm's first-index argmax, so under exact `ScoreValue`
-//! arithmetic (integer-valued `f64` weights, `u64`, `EbsValue`,
-//! `LexPair` of these) the lazy selection is bit-identical to the eager
-//! one: same users, gains, score, and covered counts. Stale tops are
-//! refreshed one at a time (the classic CELF step).
+//! A stale top is re-pushed with its current `marg` — one heap push, no
+//! adjacency walk. Ties order by smaller user id (see [`HeapEntry`]'s
+//! `Ord`), matching the eager algorithm's first-index argmax; since both
+//! read the same `marg` values, the lazy selection is bit-identical to the
+//! eager one for every weight vector: same users, gains, score, and
+//! covered counts.
+//!
+//! Cost: `O(|E|)` for the scan, `Σ_{covered G} |G|` member decrements,
+//! and `O(log n)` per heap operation.
 //!
 //! Quotas hook in at the commit: a fresh top is committed only if the
 //! quota tracker admits it (see [`super::constrained`]). A top that
@@ -40,7 +46,7 @@ use super::{SelectError, SelectSpec};
 struct HeapEntry<W> {
     gain: W,
     user: u32,
-    /// Selection round in which `gain` was computed.
+    /// Selection round in which `gain` was read from `marg`.
     round: u32,
 }
 
@@ -66,23 +72,11 @@ impl<W: ScoreValue> Ord for HeapEntry<W> {
     }
 }
 
-/// The round tag given to warm-start entries: never equal to the current
-/// round (rounds count committed selections, bounded by the user count,
-/// which [`CsrGraph`] keeps below `u32::MAX`), so every warm bound is
-/// refreshed to its exact marginal before it can be committed.
-const SEED_ROUND: u32 = u32::MAX;
-
-/// The CELF loop. `spec` has passed [`SelectSpec::check`], so warm
-/// bounds never meet an eligibility filter.
-///
-/// Warm bounds, when present, replace the round-0 scan: since commits
-/// only ever happen on fresh entries, and any stale pop is refreshed to
-/// its exact marginal first, valid upper bounds yield the same selection
-/// the scan would.
+/// The CELF loop. `spec` has passed [`SelectSpec::check`].
 pub(super) fn celf<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
-    spec: &SelectSpec<'_, W>,
+    spec: &SelectSpec<'_>,
 ) -> Result<Selection<W>, SelectError<W>> {
     let n = csr.user_count();
     let b = spec.budget;
@@ -111,41 +105,31 @@ pub(super) fn celf<W: ScoreValue>(
     }
     let weights = inst.weights();
     let mut cov_rem: Vec<u32> = inst.covs().to_vec();
+    let eligible = |u: usize| spec.eligible.is_none_or(|e| e[u]);
 
-    // The current marginal of `u` given the remaining coverages. Skipping
-    // zero-weight groups mirrors the eager initialization ("remove links",
-    // §4); it never changes the sum.
-    let fresh_gain = |u: u32, cov_rem: &[u32]| -> W {
-        let mut gain = W::zero();
-        for &g in csr.groups_of(u as usize) {
+    // Line 2 of Algorithm 1 — the one full scan: every eligible user's
+    // exact round-0 marginal. Groups with zero weight or zero coverage
+    // are skipped up front (the "remove links" optimization of §4).
+    let mut marg: Vec<W> = vec![W::zero(); n];
+    let mut entries = Vec::with_capacity(n);
+    for ((u, m), user) in marg.iter_mut().enumerate().zip(0u32..) {
+        if !eligible(u) {
+            continue;
+        }
+        for &g in csr.groups_of(u) {
             let gi = g as usize;
-            if cov_rem[gi] > 0 && !weights[gi].is_zero() {
-                gain.add_assign(&weights[gi]);
+            let weight = &weights[gi];
+            if cov_rem[gi] > 0 && !weight.is_zero() {
+                m.add_assign(weight);
             }
         }
-        gain
-    };
-
-    // Round-0 bounds: either the warm bounds (no scan) or the exact
-    // initial marginals — the one full scan this algorithm performs.
-    let mut heap: BinaryHeap<HeapEntry<W>> = match spec.warm {
-        Some(warm) => warm
-            .iter()
-            .map(|(user, gain)| HeapEntry {
-                gain: gain.clone(),
-                user: *user,
-                round: SEED_ROUND,
-            })
-            .collect(),
-        None => (0..n as u32)
-            .filter(|&u| spec.eligible.is_none_or(|e| e[u as usize]))
-            .map(|user| HeapEntry {
-                gain: fresh_gain(user, &cov_rem),
-                user,
-                round: 0,
-            })
-            .collect(),
-    };
+        entries.push(HeapEntry {
+            gain: m.clone(),
+            user,
+            round: 0,
+        });
+    }
+    let mut heap = BinaryHeap::from(entries);
 
     let mut users = Vec::with_capacity(b.min(n));
     let mut gains = Vec::with_capacity(b.min(n));
@@ -165,10 +149,10 @@ pub(super) fn celf<W: ScoreValue>(
         // floors are met.
         let Some(top) = heap.pop() else { break };
         if top.round != round {
-            // Stale upper bound: refresh and reinsert.
-            let gain = fresh_gain(top.user, &cov_rem);
+            // Stale upper bound: `marg` is exact, so the refresh is one
+            // push under the current round's tag.
             heap.push(HeapEntry {
-                gain,
+                gain: marg[top.user as usize].clone(),
                 user: top.user,
                 round,
             });
@@ -193,11 +177,25 @@ pub(super) fn celf<W: ScoreValue>(
         score.add_assign(&top.gain);
         gains.push(top.gain);
         users.push(UserId(top.user));
+        // Lines 7–10: a group that becomes fully covered stops counting
+        // toward every member's marginal. Ineligible users are skipped:
+        // their round-0 sums never included the weight.
         for &g in csr.groups_of(top.user as usize) {
             let gi = g as usize;
             covered_counts[gi] += 1;
-            if cov_rem[gi] > 0 {
-                cov_rem[gi] -= 1;
+            let rem = &mut cov_rem[gi];
+            if *rem == 0 {
+                continue;
+            }
+            *rem -= 1;
+            let weight = &weights[gi];
+            if *rem == 0 && !weight.is_zero() {
+                for &m in csr.members_of(gi) {
+                    let mi = m as usize;
+                    if eligible(mi) {
+                        marg[mi].sub_assign(weight);
+                    }
+                }
             }
         }
         round += 1;

@@ -4,23 +4,25 @@
 //! A [`SelectSpec`] names everything one run needs besides the instance
 //! and its [`CsrGraph`]: the budget, the [`Strategy`] (Algorithm 1's eager
 //! greedy, CELF lazy greedy, or stochastic sampling), an eligibility
-//! filter, quota windows with an optional anneal schedule, warm-start
-//! bounds, and a stop hook. Combinations no strategy supports are refused
-//! in one place, [`SelectSpec::check`].
+//! filter, quota windows with an optional anneal schedule, and a stop
+//! hook. Combinations no strategy supports are refused in one place,
+//! [`SelectSpec::check`].
 //!
-//! Every lazy run — plain, warm-started, deadline-bounded, or
-//! quota-constrained — goes through the same CELF loop; with no quotas
-//! it is bit-identical to the eager algorithm under the `FirstUser`
-//! tie-break and exact score arithmetic.
+//! Every lazy run — plain, deadline-bounded, or quota-constrained — goes
+//! through the same CELF loop; with no quotas it is bit-identical to the
+//! eager algorithm under the `FirstUser` tie-break, for every weight
+//! vector: both maintain the same exact marginals with the same
+//! arithmetic.
 //!
 //! [`CsrGraph`] is the flat bipartite user ↔ group adjacency, built once
 //! from a [`GroupSet`](crate::group::GroupSet) in `O(|V| + |E|)`; serving
 //! layers keep one per snapshot and select from it across many requests.
 //!
 //! Complexity: eager greedy is `O(|E| + B·n + Σ_{covered G} |G|)`; the
-//! lazy heap replaces the `B·n` argmax scans and the member-side updates
-//! with `O(|E|)` heapify plus `O(r·(log n + deg))` for the `r` entries it
-//! actually refreshes — typically `r ≪ n` (the CELF effect).
+//! lazy heap keeps the scan and the member-side decrements and replaces
+//! the `B·n` argmax scans with `O(n)` heapify plus `O(log n)` per heap
+//! operation — `O(|E| + Σ_{covered G} |G| + r·log n)` for `r` stale
+//! refreshes, each a single push.
 
 pub mod anneal;
 pub mod constrained;
@@ -49,9 +51,9 @@ pub enum Strategy {
         /// Tie-break among users sharing the maximal marginal.
         tie_break: TieBreak,
     },
-    /// CELF lazy greedy over a max-heap of stale upper bounds. Ties go to
-    /// the smaller user id, so selections are bit-identical to
-    /// `Eager { tie_break: FirstUser }`.
+    /// CELF lazy greedy over a max-heap of stale upper bounds, refreshed
+    /// from Algorithm 1's exact marginals. Ties go to the smaller user id,
+    /// so selections are bit-identical to `Eager { tie_break: FirstUser }`.
     Lazy,
     /// Stochastic greedy (Mirzasoleiman et al., AAAI 2015): each round
     /// evaluates a seeded sample of `⌈(n/B)·ln(1/ε)⌉` candidates, for a
@@ -70,13 +72,13 @@ pub enum Strategy {
 /// ```
 /// # use podium_core::engine::{SelectSpec, Strategy};
 /// let eligible = [true, false, true];
-/// let spec: SelectSpec<'_, f64> = SelectSpec {
+/// let spec = SelectSpec {
 ///     eligible: Some(&eligible),
 ///     ..SelectSpec::new(2, Strategy::Lazy)
 /// };
 /// assert!(spec.check().is_ok());
 /// ```
-pub struct SelectSpec<'a, W> {
+pub struct SelectSpec<'a> {
     /// Selects at most this many users.
     pub budget: usize,
     /// The greedy variant.
@@ -90,19 +92,13 @@ pub struct SelectSpec<'a, W> {
     /// Refines the constrained greedy slate by seeded annealing. Needs
     /// `quotas`.
     pub anneal: Option<&'a AnnealSchedule>,
-    /// Warm-start heap for incremental serving: one `(user, bound)` pair
-    /// per candidate, each bound an *upper bound* on that user's round-0
-    /// marginal gain. Replaces the `O(|E|)` round-0 scan; for any valid
-    /// bounds the selection is bit-identical to the cold run. `Lazy` only,
-    /// and it enumerates the candidates itself, so no `eligible`.
-    pub warm: Option<&'a [(u32, W)]>,
     /// Deadline hook, polled with the number of committed users before
     /// the round-0 scan and after every committed round; `true` stops the
     /// run with [`SelectError::Stopped`]. `Lazy` only.
     pub stop: Option<&'a dyn Fn(usize) -> bool>,
 }
 
-impl<'a, W> SelectSpec<'a, W> {
+impl SelectSpec<'_> {
     /// A spec with only the budget and strategy set.
     pub fn new(budget: usize, strategy: Strategy) -> Self {
         SelectSpec {
@@ -111,7 +107,6 @@ impl<'a, W> SelectSpec<'a, W> {
             eligible: None,
             quotas: None,
             anneal: None,
-            warm: None,
             stop: None,
         }
     }
@@ -122,7 +117,6 @@ impl<'a, W> SelectSpec<'a, W> {
         if self.strategy != Strategy::Lazy {
             for (set, what) in [
                 (self.quotas.is_some(), "quotas"),
-                (self.warm.is_some(), "warm bounds"),
                 (self.stop.is_some(), "a stop hook"),
             ] {
                 if set {
@@ -132,7 +126,6 @@ impl<'a, W> SelectSpec<'a, W> {
         }
         if self.eligible.is_some() {
             for (set, what) in [
-                (self.warm.is_some(), "warm bounds"),
                 (self.quotas.is_some(), "quotas"),
                 (
                     matches!(self.strategy, Strategy::Stochastic { .. }),
@@ -205,7 +198,7 @@ impl<W> std::fmt::Display for SelectError<W> {
 pub fn select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
-    spec: &SelectSpec<'_, W>,
+    spec: &SelectSpec<'_>,
 ) -> Result<Selection<W>, SelectError<W>> {
     spec.check().map_err(SelectError::Spec)?;
     debug_assert!(
@@ -317,7 +310,7 @@ mod tests {
 
     fn run<W: ScoreValue>(
         inst: &DiversificationInstance<'_, W>,
-        spec: &SelectSpec<'_, W>,
+        spec: &SelectSpec<'_>,
     ) -> Result<Selection<W>, SelectError<W>> {
         select(inst, &CsrGraph::from_group_set(inst.groups()), spec)
     }

@@ -379,27 +379,6 @@ impl IncrementalGroups {
         out
     }
 
-    /// Exact round-0 CELF marginals of `u` against the current state, as
-    /// `(degree, Σ slot sizes)` — the initial gain under `Identical` and
-    /// `LinearBySize` weights respectively (every group starts with
-    /// positive remaining coverage, so the round-0 gain is the plain
-    /// weight sum over the user's groups). Both are integers, hence exact
-    /// in `f64`; writers use them to maintain warm-start seed bounds for
-    /// [`crate::engine::SelectSpec::warm`].
-    pub fn seed_gains_of(&self, u: UserId) -> (f64, f64) {
-        let mut degree = 0u32;
-        let mut sizes = 0.0f64;
-        for &(p, b) in &self.current[u.index()] {
-            degree += 1;
-            // Slot sizes are bounded by the u32 user count, so each term
-            // (and the ≤ |P|-term sum) is exact in f64.
-            sizes += f64::from(
-                u32::try_from(self.slots[p.index()][b.index()].len()).unwrap_or(u32::MAX),
-            );
-        }
-        (f64::from(degree), sizes)
-    }
-
     /// The non-empty slot member lists in published (flat) order.
     fn non_empty_lists(&self) -> Vec<&[UserId]> {
         non_empty_slots(&self.slots)

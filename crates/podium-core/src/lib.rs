@@ -27,7 +27,7 @@
 //! 5. Run [`greedy::greedy_select`] — Algorithm 1 — or the engine's one
 //!    entry point [`engine::select`] with a [`engine::SelectSpec`] naming
 //!    the strategy (eager, CELF lazy, stochastic), eligibility, quotas,
-//!    warm-start bounds, or a deadline hook; on tiny instances the
+//!    or a deadline hook; on tiny instances the
 //!    exhaustive [`exact::exact_select`] gives the optimum.
 //! 6. Inspect the selection with [`explain`] and refine it with
 //!    [`customize`] feedback.

@@ -5,12 +5,13 @@
 //! weights, zero-weight groups, coverage requirements above one, and
 //! heavily overlapping groups, and on the paper's running example. The
 //! CELF loop must also return the identical selection with an empty quota
-//! set and with exact or loosened warm-start bounds.
+//! set and under a stop hook that never fires.
 //!
-//! The guarantee holds under exact score arithmetic (integer-valued `f64`
-//! weights as produced by every built-in scheme, `u64`, EBS) and the
-//! `FirstUser` tie-break; see `crates/podium-core/src/engine/lazy.rs` for
-//! the heap-invariant argument.
+//! The guarantee holds for every weight vector under the `FirstUser`
+//! tie-break — non-integer `f64` weights included — because the CELF loop
+//! maintains Algorithm 1's exact marginals with the eager loop's own
+//! arithmetic; see `crates/podium-core/src/engine/lazy.rs` for the
+//! heap-invariant argument.
 
 use podium_core::engine::{
     constrained_lazy_select, lazy_select_csr, select, AnnealSchedule, CsrGraph, QuotaSet,
@@ -21,7 +22,7 @@ use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
 use podium_core::score::ScoreValue;
-use podium_core::weights::{CovScheme, WeightScheme};
+use podium_core::weights::{noisy_weights, CovScheme, WeightScheme};
 
 const EAGER: Strategy = Strategy::Eager {
     tie_break: TieBreak::FirstUser,
@@ -163,6 +164,30 @@ fn u64_weights_agree() {
         let cov: Vec<u32> = (0..groups.len()).map(|_| 1 + rng.below(3) as u32).collect();
         let inst = DiversificationInstance::new(&groups, weights, cov);
         assert_all_strategies_identical(&inst, 6, None, &format!("u64 seed={seed}"));
+        // An excluded user's round-0 marginal is never summed, so it must
+        // never be decremented either: a `u64` marginal would underflow.
+        let eligible: Vec<bool> = (0..45).map(|_| rng.below(3) != 0).collect();
+        let ctx = format!("u64 eligible seed={seed}");
+        let sel = assert_all_strategies_identical(&inst, 6, Some(&eligible), &ctx);
+        assert!(sel.users.iter().all(|u| eligible[u.index()]), "{ctx}");
+    }
+}
+
+#[test]
+fn noisy_f64_weights_agree() {
+    // Non-integer weights: every sum rounds, so lazy matches eager only
+    // because both update the same marginals in the same order.
+    for seed in 0..40u64 {
+        let groups = random_groups(seed + 300, 40, 60, 9);
+        for amplitude in [0.3, 0.9] {
+            for cov in [CovScheme::Single, CovScheme::Proportional] {
+                let base = WeightScheme::LinearBySize.weights(&groups);
+                let weights = noisy_weights(&base, amplitude, seed);
+                let inst = DiversificationInstance::new(&groups, weights, cov.cov(&groups, 8));
+                let ctx = format!("noisy seed={seed} amplitude={amplitude} {cov:?}");
+                assert_all_strategies_identical(&inst, 8, None, &ctx);
+            }
+        }
     }
 }
 
@@ -246,7 +271,7 @@ fn coverage_two_and_zero_weight_groups_agree() {
 }
 
 #[test]
-fn no_quotas_empty_quotas_and_warm_bounds_are_identical() {
+fn no_quotas_empty_quotas_and_stop_hooks_agree() {
     let users = 35;
     for seed in 0..8u64 {
         let groups = random_groups(seed + 200, users, 50, 8);
@@ -260,64 +285,19 @@ fn no_quotas_empty_quotas_and_warm_bounds_are_identical() {
             let inst = DiversificationInstance::from_schemes(&groups, w, c, b);
             let lazy = || SelectSpec::new(b, Strategy::Lazy);
             let reference = select(&inst, &csr, &lazy()).expect("plain CELF completes");
-            // Exact round-0 gains as warm bounds, then per-user slack.
-            let exact: Vec<(u32, f64)> = (0..users as u32)
-                .map(|u| {
-                    let gain = csr
-                        .groups_of(u as usize)
-                        .iter()
-                        .map(|&g| inst.weights()[g as usize])
-                        .sum();
-                    (u, gain)
-                })
-                .collect();
-            let loose: Vec<(u32, f64)> = exact
-                .iter()
-                .map(|&(u, g)| (u, g + (u % 7) as f64))
-                .collect();
             let empty = QuotaSet::empty(b);
-            let variants = [
-                (
-                    "empty quotas",
-                    SelectSpec {
-                        quotas: Some(&empty),
-                        ..lazy()
-                    },
-                ),
-                (
-                    "exact warm bounds",
-                    SelectSpec {
-                        warm: Some(&exact),
-                        ..lazy()
-                    },
-                ),
-                (
-                    "loosened warm bounds",
-                    SelectSpec {
-                        warm: Some(&loose),
-                        ..lazy()
-                    },
-                ),
-                (
-                    "empty quotas + loosened warm bounds",
-                    SelectSpec {
-                        quotas: Some(&empty),
-                        warm: Some(&loose),
-                        ..lazy()
-                    },
-                ),
-            ];
-            for (label, spec) in variants {
-                assert_eq!(
-                    select(&inst, &csr, &spec),
-                    Ok(reference.clone()),
-                    "{ctx}: {label}"
-                );
-            }
-            // A warm start with a stop hook still yields the exact prefix.
+            let spec = SelectSpec {
+                quotas: Some(&empty),
+                ..lazy()
+            };
+            assert_eq!(
+                select(&inst, &csr, &spec),
+                Ok(reference.clone()),
+                "{ctx}: empty quotas"
+            );
+            // A stop hook yields the exact prefix.
             let at_three = |committed: usize| committed >= 3;
             let spec = SelectSpec {
-                warm: Some(&exact),
                 stop: Some(&at_three),
                 ..lazy()
             };
@@ -344,7 +324,6 @@ fn rejected_spec_combinations_are_refused() {
     let csr = CsrGraph::from_group_set(&groups);
     let eligible = vec![true; 10];
     let quotas = QuotaSet::empty(3);
-    let warm: Vec<(u32, f64)> = (0..10).map(|u| (u, 100.0)).collect();
     let schedule = AnnealSchedule {
         seed: 1,
         steps: 10,
@@ -357,7 +336,7 @@ fn rejected_spec_combinations_are_refused() {
         seed: 1,
     };
     let lazy = || SelectSpec::new(3, Strategy::Lazy);
-    let cases: Vec<(SelectSpec<'_, f64>, SpecError)> = vec![
+    let cases: Vec<(SelectSpec<'_>, SpecError)> = vec![
         (
             SelectSpec {
                 quotas: Some(&quotas),
@@ -371,13 +350,6 @@ fn rejected_spec_combinations_are_refused() {
                 ..SelectSpec::new(3, stochastic)
             },
             SpecError::LazyOnly("quotas"),
-        ),
-        (
-            SelectSpec {
-                warm: Some(&warm),
-                ..SelectSpec::new(3, EAGER)
-            },
-            SpecError::LazyOnly("warm bounds"),
         ),
         (
             SelectSpec {
@@ -385,14 +357,6 @@ fn rejected_spec_combinations_are_refused() {
                 ..SelectSpec::new(3, stochastic)
             },
             SpecError::LazyOnly("a stop hook"),
-        ),
-        (
-            SelectSpec {
-                eligible: Some(&eligible),
-                warm: Some(&warm),
-                ..lazy()
-            },
-            SpecError::EligibilityWith("warm bounds"),
         ),
         (
             SelectSpec {

@@ -160,6 +160,7 @@ pub fn resolve_with_default_bucketing(
 mod tests {
     use super::*;
     use podium_core::customize::custom_select_weighted;
+    use podium_core::engine::CsrGraph;
 
     const SUMMER_PAVILION: &str = r#"{
         "title": "Summer Pavilion",
@@ -210,8 +211,10 @@ mod tests {
         let resolved = cfg.resolve(&repo, &buckets).unwrap();
         let base = resolved.weights.weights(&resolved.groups);
         let covs = resolved.cov.cov(&resolved.groups, cfg.budget);
+        let csr = CsrGraph::from_group_set(&resolved.groups);
         let (sel, pool, _) = custom_select_weighted(
             &resolved.groups,
+            &csr,
             &base,
             &covs,
             cfg.budget,

@@ -13,8 +13,8 @@
 //!   [`snapshot::RepositoryWriter`] that applies profile updates through
 //!   [`podium_core::incremental::IncrementalGroups`], one epoch per
 //!   update. [`snapshot::Snapshot::serve`] is the one select path: memo
-//!   lookup, carried-memo lookup under `stale_ok`, then one warm-started
-//!   CELF run, with or without quotas, that polls the request deadline;
+//!   lookup, carried-memo lookup under `stale_ok`, then one CELF run,
+//!   with or without quotas, that polls the request deadline;
 //! * [`executor`] — a fixed worker pool draining a bounded request queue
 //!   with reject-on-full admission control; each job runs on the
 //!   snapshot captured at dequeue;

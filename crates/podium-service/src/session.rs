@@ -117,9 +117,15 @@ impl Session {
         let groups = self.snapshot.groups();
         let base = weight.weights(groups);
         let covs = cov.cov(groups, budget);
-        let (selection, pool_size, feedback_group_coverage) =
-            custom_select_weighted(groups, &base, &covs, budget, &self.feedback)
-                .map_err(ServiceError::Core)?;
+        let (selection, pool_size, feedback_group_coverage) = custom_select_weighted(
+            groups,
+            self.snapshot.csr(),
+            &base,
+            &covs,
+            budget,
+            &self.feedback,
+        )
+        .map_err(ServiceError::Core)?;
         Ok(CustomSelection {
             selection,
             pool_size,

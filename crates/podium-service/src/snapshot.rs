@@ -104,14 +104,14 @@ pub struct SelectOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PublishMode {
     /// Delta-aware publishing: patch the previous epoch's CSR in place on
-    /// a recycled buffer, maintain warm CELF seed bounds, carry forward
-    /// unaffected memoized selects, and recycle the repository copy. The
-    /// published snapshots are bit-identical to [`PublishMode::FullRebuild`]'s.
+    /// a recycled buffer, carry forward unaffected memoized selects, and
+    /// recycle the repository copy. The published snapshots are
+    /// bit-identical to [`PublishMode::FullRebuild`]'s.
     #[default]
     Incremental,
     /// Rebuild every published structure from the incremental state and
     /// clone the repository afresh — the honest baseline the drift
-    /// benchmark compares against. No seeds, no memo carry.
+    /// benchmark compares against. No memo carry.
     FullRebuild,
 }
 
@@ -237,11 +237,6 @@ pub struct Snapshot {
     /// score lower bound is unaffected by the intervening deltas. Served
     /// only under the `stale_ok` read mode; immutable after assembly.
     carried: Vec<(SelectParams, SelectOutcome)>,
-    /// Warm CELF seed bounds per user under `Identical` weights (empty
-    /// when the epoch was published without seeds — cold scan instead).
-    seeds_iden: Vec<f64>,
-    /// Warm CELF seed bounds per user under `LinearBySize` weights.
-    seeds_lbs: Vec<f64>,
 }
 
 /// Cap on memoized outcomes per snapshot: parameter combinations are few
@@ -254,8 +249,6 @@ struct SnapshotParts {
     repo: UserRepository,
     groups: GroupSet,
     csr: CsrGraph,
-    seeds_iden: Vec<f64>,
-    seeds_lbs: Vec<f64>,
     carried: Vec<(SelectParams, SelectOutcome)>,
 }
 
@@ -270,8 +263,6 @@ impl Snapshot {
             lbs_weights,
             select_cache: Mutex::new(Vec::new()),
             carried: parts.carried,
-            seeds_iden: parts.seeds_iden,
-            seeds_lbs: parts.seeds_lbs,
         }
     }
 
@@ -325,8 +316,8 @@ impl Snapshot {
     /// was computed on, and certifies
     /// [`SelectOutcome::certified_score_lb`] against this epoch.
     /// Constrained memos are never carried, so a constrained key always
-    /// recomputes here. A miss runs CELF from the epoch's warm bounds,
-    /// polling `deadline` before the first round and after every commit;
+    /// recomputes here. A miss runs CELF on the epoch's CSR, polling
+    /// `deadline` before the round-0 scan and after every commit;
     /// a deadline hit maps to [`ServiceError::DeadlineExceeded`] and the
     /// partial prefix is dropped, so no quota floor is ever stranded.
     /// The annealing pass, when scheduled, is step-bounded and runs to
@@ -364,12 +355,10 @@ impl Snapshot {
             .map(|c| QuotaSet::build(c.quotas.clone(), self.groups.len(), params.budget))
             .transpose()
             .map_err(|e| ServiceError::BadRequest(format!("'constraints': {e}")))?;
-        let seeds = self.seed_pairs(params.weight);
         let stop = move |_: usize| deadline.is_some_and(|d| Instant::now() >= d);
         let spec = SelectSpec {
             quotas: quotas.as_ref(),
             anneal: constraints.and_then(|c| c.anneal.as_ref()),
-            warm: seeds.as_deref(),
             stop: Some(&stop),
             ..SelectSpec::new(params.budget, Strategy::Lazy)
         };
@@ -389,25 +378,6 @@ impl Snapshot {
         };
         self.memoize(params, &outcome);
         Ok(outcome)
-    }
-
-    /// The warm-start seed pairs for `scheme`, when this epoch was
-    /// published with seed bounds covering every user.
-    fn seed_pairs(&self, scheme: WeightScheme) -> Option<Vec<(u32, f64)>> {
-        let bounds = match scheme {
-            WeightScheme::Identical => &self.seeds_iden,
-            WeightScheme::LinearBySize => &self.seeds_lbs,
-        };
-        if bounds.len() != self.csr.user_count() {
-            return None;
-        }
-        Some(
-            bounds
-                .iter()
-                .enumerate()
-                .map(|(u, &bound)| (UserId::from_index(u).0, bound))
-                .collect(),
-        )
     }
 
     /// All memoized outcomes reachable on this epoch: fresh entries first,
@@ -527,8 +497,6 @@ pub struct RepositoryWriter {
     mode: PublishMode,
     /// Updates applied since the last publish (the next epoch's batch).
     pending_updates: u64,
-    /// Warm CELF seed bounds maintained across incremental publishes.
-    seeds: SeedState,
     /// Retired epochs whose buffers we may reclaim once readers drop
     /// their references.
     retired: Vec<Arc<Snapshot>>,
@@ -585,23 +553,6 @@ struct PublishRecord {
     updates: Option<Vec<LoggedUpdate>>,
 }
 
-/// Writer-side warm-start seed bounds (see
-/// [`podium_core::engine::SelectSpec::warm`]): exact for users
-/// the delta touched, monotone-slack upper bounds for the rest.
-#[derive(Debug, Default)]
-struct SeedState {
-    iden: Vec<f64>,
-    lbs: Vec<f64>,
-    /// Incremental publishes since the LBS bounds were last recomputed
-    /// exactly; slack accumulates monotonically, so they are rebuilt every
-    /// [`LBS_EXACT_REBUILD_EVERY`] epochs to stay tight.
-    epochs_since_exact: u32,
-}
-
-/// How many slack-maintained publishes may pass before the LBS seed
-/// bounds are recomputed exactly.
-const LBS_EXACT_REBUILD_EVERY: u32 = 16;
-
 /// Carried memos older than this many epochs are invalidated even if no
 /// delta touched their covered groups — the bounded part of bounded
 /// staleness.
@@ -638,18 +589,12 @@ impl RepositoryWriter {
         let inc = IncrementalGroups::build(&repo, buckets);
         let groups = inc.snapshot();
         let csr = inc.snapshot_csr();
-        let mut seeds = SeedState::default();
-        if mode == PublishMode::Incremental {
-            rebuild_seeds_exact(&inc, &mut seeds);
-        }
         let snap = Arc::new(Snapshot::assemble(
             0,
             SnapshotParts {
                 repo: repo.clone(),
                 groups,
                 csr,
-                seeds_iden: seeds.iden.clone(),
-                seeds_lbs: seeds.lbs.clone(),
                 carried: Vec::new(),
             },
         ));
@@ -661,7 +606,6 @@ impl RepositoryWriter {
             epoch: 0,
             mode,
             pending_updates: 0,
-            seeds,
             retired: Vec::new(),
             recycled: Vec::new(),
             pending_log: Vec::new(),
@@ -827,10 +771,9 @@ impl RepositoryWriter {
     /// In [`PublishMode::Incremental`] the epoch is built from the batch's
     /// [`EpochDelta`]: the CSR is patched in place on a recycled buffer
     /// (falling back to a rebuild when the group universe changed shape),
-    /// the repository copy reuses a retired epoch's allocations, warm CELF
-    /// seed bounds are maintained per changed user, and memoized selects
-    /// covering no dirty group are carried forward with their certified
-    /// score lower bound.
+    /// the repository copy reuses a retired epoch's allocations, and
+    /// memoized selects covering no dirty group are carried forward with
+    /// their certified score lower bound.
     pub fn publish(&mut self) -> u64 {
         let started = Instant::now();
         self.epoch += 1;
@@ -876,10 +819,6 @@ impl RepositoryWriter {
             build.full_rebuild_micros = elapsed_micros(csr_started);
         }
         build.patched = patched;
-
-        if incremental {
-            self.maintain_seeds(&delta, &prev, patched);
-        }
 
         let mut carried = Vec::new();
         if incremental && patched {
@@ -947,16 +886,6 @@ impl RepositoryWriter {
                 repo,
                 groups: std::mem::take(&mut parts.groups),
                 csr: std::mem::take(&mut parts.csr),
-                seeds_iden: if incremental {
-                    self.seeds.iden.clone()
-                } else {
-                    Vec::new()
-                },
-                seeds_lbs: if incremental {
-                    self.seeds.lbs.clone()
-                } else {
-                    Vec::new()
-                },
                 carried,
             },
         ));
@@ -1066,61 +995,6 @@ impl RepositoryWriter {
         }
     }
 
-    /// Maintains the warm seed bounds across one incremental publish.
-    /// Changed users get exact values; everyone else's LBS bound grows by
-    /// the total growth of the dirty groups (a uniform slack that keeps
-    /// the bound an upper bound without touching O(n) memberships).
-    /// Unpatchable deltas — and every [`LBS_EXACT_REBUILD_EVERY`]-th
-    /// publish, to shed accumulated slack — trigger an exact O(E) rebuild.
-    fn maintain_seeds(&mut self, delta: &EpochDelta, prev: &Snapshot, patched: bool) {
-        let n = self.inc.user_count();
-        if !patched
-            || self.seeds.iden.len() != n
-            || self.seeds.epochs_since_exact >= LBS_EXACT_REBUILD_EVERY
-        {
-            rebuild_seeds_exact(&self.inc, &mut self.seeds);
-            return;
-        }
-        let dirty_ids = self.inc.dirty_group_ids(delta);
-        debug_assert_eq!(
-            dirty_ids.len(),
-            delta.dirty_slots().len(),
-            "patchable deltas have no empty dirty slots"
-        );
-        let mut slack = 0.0f64;
-        for (&(p, b), &g) in delta.dirty_slots().iter().zip(&dirty_ids) {
-            let new_len = self.inc.members(p, b).len();
-            let old_len = prev
-                .csr()
-                .members_of(usize::try_from(g).unwrap_or(usize::MAX))
-                .len();
-            // Group sizes are bounded by the u32 user count, so the
-            // growth converts to f64 exactly.
-            let grown = new_len.saturating_sub(old_len);
-            slack += f64::from(u32::try_from(grown).unwrap_or(u32::MAX));
-        }
-        if slack > 0.0 {
-            let changed = delta.changed_users();
-            let mut ci = 0usize;
-            for (u, bound) in self.seeds.lbs.iter_mut().enumerate() {
-                // podium-lint: allow(index) — guarded by ci < changed.len() in the same condition
-                if ci < changed.len() && changed[ci].index() == u {
-                    ci += 1;
-                    continue;
-                }
-                *bound += slack;
-            }
-        }
-        for &u in delta.changed_users() {
-            let (degree, sizes) = self.inc.seed_gains_of(u);
-            // podium-lint: allow(index) — seed vectors are resized to the user count on every publish
-            self.seeds.iden[u.index()] = degree;
-            // podium-lint: allow(index) — same bound: lbs has one slot per user
-            self.seeds.lbs[u.index()] = sizes;
-        }
-        self.seeds.epochs_since_exact += 1;
-    }
-
     /// Moves the buffers of retired snapshots nobody references anymore
     /// into the recycle pool.
     fn reclaim(&mut self) {
@@ -1167,21 +1041,6 @@ fn replay_updates(updates: &[LoggedUpdate], target: &mut UserRepository) {
     }
 }
 
-/// Recomputes both seed-bound vectors exactly from the incremental state.
-fn rebuild_seeds_exact(inc: &IncrementalGroups, seeds: &mut SeedState) {
-    let n = inc.user_count();
-    seeds.iden.clear();
-    seeds.lbs.clear();
-    seeds.iden.reserve(n);
-    seeds.lbs.reserve(n);
-    for u in 0..n {
-        let (degree, sizes) = inc.seed_gains_of(UserId::from_index(u));
-        seeds.iden.push(degree);
-        seeds.lbs.push(sizes);
-    }
-    seeds.epochs_since_exact = 0;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,7 +1048,7 @@ mod tests {
     use podium_core::engine::QuotaBound;
     use podium_core::greedy::greedy_select;
 
-    fn seed_repo() -> UserRepository {
+    fn sample_repo() -> UserRepository {
         let mut repo = UserRepository::new();
         let mex = repo.intern_property("avgRating Mexican");
         let tokyo = repo.intern_property("livesIn Tokyo");
@@ -1207,12 +1066,12 @@ mod tests {
     }
 
     fn writer() -> (Arc<SnapshotStore>, RepositoryWriter) {
-        let repo = seed_repo();
+        let repo = sample_repo();
         let buckets = BucketingConfig::paper_default().bucketize(&repo);
         RepositoryWriter::new(repo, &buckets)
     }
 
-    /// Once the recycle pool is warm and the publish history covers the
+    /// Once the recycle pool is filled and the publish history covers the
     /// buffers' staleness span, a steady-state publish takes every fast
     /// path at once: CSR patch, group-set patch, and repository replay.
     #[test]
@@ -1315,7 +1174,7 @@ mod tests {
         let (store, _w) = writer();
         let snap = store.load();
         assert_eq!(snap.epoch(), 0);
-        let repo = seed_repo();
+        let repo = sample_repo();
         let buckets = BucketingConfig::paper_default().bucketize(&repo);
         let batch = GroupSet::build(&repo, &buckets);
         assert_eq!(snap.groups().len(), batch.len());
@@ -1398,8 +1257,8 @@ mod tests {
         let snap = store.load();
         // Rebuild from the writer's own repository with the same (fixed)
         // bucket boundaries: group sets must agree exactly.
-        let seed = seed_repo();
-        let buckets = BucketingConfig::paper_default().bucketize(&seed);
+        let initial = sample_repo();
+        let buckets = BucketingConfig::paper_default().bucketize(&initial);
         let batch = GroupSet::build(snap.repo(), &buckets);
         assert_eq!(snap.groups().len(), batch.len());
         for ((_, a), (_, b)) in snap.groups().iter().zip(batch.iter()) {
@@ -1521,7 +1380,7 @@ mod tests {
         assert_eq!(after.selection, greedy_select(&rebuilt, 2));
     }
 
-    /// Budget-1 LBS select over [`seed_repo`]: Alice wins (covers the
+    /// Budget-1 LBS select over [`sample_repo`]: Alice wins (covers the
     /// low-Mexican bucket and the Tokyo group), so updates that dirty
     /// only the *other* Mexican buckets leave the memo carriable.
     fn params1() -> SelectParams {
@@ -1594,7 +1453,7 @@ mod tests {
 
     #[test]
     fn full_rebuild_mode_never_patches_or_carries() {
-        let repo = seed_repo();
+        let repo = sample_repo();
         let buckets = BucketingConfig::paper_default().bucketize(&repo);
         let (store, mut w) = RepositoryWriter::with_mode(repo, &buckets, PublishMode::FullRebuild);
         store.load().select(&params1(), None).unwrap();
@@ -1617,7 +1476,7 @@ mod tests {
 
     #[test]
     fn incremental_publishes_match_full_rebuild_bit_for_bit() {
-        let repo = seed_repo();
+        let repo = sample_repo();
         let buckets = BucketingConfig::paper_default().bucketize(&repo);
         let (s_inc, mut w_inc) =
             RepositoryWriter::with_mode(repo.clone(), &buckets, PublishMode::Incremental);

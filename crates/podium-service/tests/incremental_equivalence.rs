@@ -1,6 +1,6 @@
-//! Delta-equivalence property: an incremental writer (CSR patching, warm
-//! CELF seeds, memo carrying) and a full-rebuild writer fed the same
-//! update stream publish **bit-identical** epochs.
+//! Delta-equivalence property: an incremental writer (CSR patching, memo
+//! carrying) and a full-rebuild writer fed the same update stream publish
+//! **bit-identical** epochs.
 //!
 //! At every published epoch the two paths must agree on
 //!
@@ -14,8 +14,8 @@
 //! tweaks, bucket moves, retractions, brand-new users (unpatchable
 //! deltas), empty-delta publishes (consecutive publish points), and
 //! full-churn batches that touch every user. Deterministic companions
-//! below pin the two riskiest regimes — long runs that cross the
-//! periodic exact seed-rebuild boundary, and every-user churn.
+//! below pin the two riskiest regimes — long runs of consecutive
+//! patchable publishes, and every-user churn.
 
 use podium_core::bucket::BucketingConfig;
 use podium_core::ids::UserId;
@@ -195,8 +195,8 @@ proptest! {
 }
 
 /// Full churn: every user changes in every batch. The delta's changed
-/// set is the whole universe, so seed maintenance recomputes everyone
-/// and memo carrying finds every group dirty.
+/// set is the whole universe, so the CSR patch rewrites every row and
+/// memo carrying finds every group dirty.
 #[test]
 fn full_churn_batches_stay_equivalent() {
     let ops: Vec<Op> = (0..40)
@@ -210,11 +210,11 @@ fn full_churn_batches_stay_equivalent() {
     replay(8, &[13, 0, 47, 66, 91, 25, 58, 80], &ops);
 }
 
-/// Crosses the periodic exact-seed-rebuild boundary: many consecutive
-/// single-user, patchable publishes so the uniform LBS slack accumulates
-/// for well over `LBS_EXACT_REBUILD_EVERY` epochs.
+/// Many consecutive single-user, patchable publishes: every epoch patches
+/// the previous one's CSR, group set and repository copy, and the
+/// recycled buffers cycle through the publish history dozens of times.
 #[test]
-fn long_patchable_runs_stay_equivalent_across_seed_rebuilds() {
+fn long_patchable_runs_stay_equivalent() {
     let ops: Vec<Op> = (0..40)
         .map(|i| Op {
             user: 1 + i % 3,
