@@ -281,6 +281,16 @@ mod tests {
             assert_eq!(c.count("inconsistent"), 0, "{:?}", c.sim);
             assert!(c.count("served") > 0, "{:?}", c.sim);
         }
+        // The serving scenario adds no users, so every incremental epoch
+        // is a patch, and each one-update epoch relinks at most the users
+        // of its catch-up span.
+        let inc = &cells[1];
+        assert_eq!(inc.count("patched_publishes"), inc.count("publishes"));
+        assert!(
+            inc.count("reverse_links_rewritten") <= 16 * inc.count("publishes"),
+            "{:?}",
+            inc.sim
+        );
         let table = render_drift(&cells);
         assert!(table.contains("full_rebuild"), "{table}");
         assert!(table.contains("incremental"), "{table}");

@@ -7,6 +7,12 @@
 //! scan walks a single contiguous buffer. The group set stays the
 //! construction front-end; a `CsrGraph` is derived from it once per
 //! selection run (`O(|V| + |E|)`) and is immutable afterwards.
+//!
+//! A publisher that serves one graph per epoch derives each epoch's graph
+//! from the previous one with [`CsrGraph::patch_from`]: unchanged runs of
+//! rows and member lists are bulk copies — renumbered through an old → new
+//! group-id table when a group emptied or filled — and only the rows and
+//! lists the epoch changed are written element by element.
 
 use crate::group::GroupSet;
 use crate::ids::UserId;
@@ -117,94 +123,146 @@ impl CsrGraph {
         );
     }
 
-    /// Patches `self` into the CSR of `lists` (the new epoch), using `base`
-    /// — the CSR of the previous epoch over the *same* group universe and
-    /// user count — to skip per-edge work for untouched users.
+    /// Patches `self` into the CSR of the next epoch from `base`, the CSR
+    /// of the previous epoch over the same users, spending per-edge work
+    /// only on what the epoch changed.
     ///
-    /// `changed` names, in ascending user order, every user whose group row
-    /// differs from `base`, paired with their new (strictly ascending) group
-    /// row; users not listed must have rows identical to `base`. The group
-    /// side is a bulk copy of `lists`; the user side splices the changed
-    /// rows between `memcpy`s of the unchanged spans of `base`. The result
-    /// is bit-identical to `from_member_lists(base.user_count(), lists)`.
+    /// * `remap` maps each `base` group id to its new id, or to `u32::MAX`
+    ///   for a group that left; `None` when no id changed.
+    /// * `fresh` lists, ascending by new id, the members of every group
+    ///   that is new or whose members changed. Every other surviving group
+    ///   keeps its `base` members.
+    /// * `changed` names, ascending by user, every user whose row differs
+    ///   from `base`'s (read through `remap`), with their new row (strictly
+    ///   ascending).
+    ///
+    /// Runs of unchanged groups and users are bulk copies of `base` —
+    /// passed through `remap` when ids shifted — and only `fresh` lists and
+    /// `changed` rows are written element by element. The result is
+    /// bit-identical to `from_member_lists` over the new epoch's lists.
     ///
     /// # Panics
-    /// Panics if `lists` does not have exactly `base.group_count()` groups
-    /// or the changed rows disagree with the member lists on the edge count.
+    /// Panics if the changed rows disagree with the member lists on the
+    /// edge count.
     pub fn patch_from(
         &mut self,
         base: &CsrGraph,
-        lists: &[&[UserId]],
+        remap: Option<&[u32]>,
+        fresh: &[(u32, &[UserId])],
         changed: &[(u32, Vec<u32>)],
     ) {
-        let user_count = base.user_count();
-        assert_eq!(
-            lists.len(),
-            base.group_count(),
-            "CSR patch requires an unchanged group universe"
-        );
-        let edges: usize = lists.iter().map(|m| m.len()).sum();
-        assert!(edges < u32::MAX as usize, "edge count exceeds u32 range");
         debug_assert!(
-            changed.windows(2).all(|w| w[0].0 < w[1].0),
+            fresh.windows(2).all(|w| matches!(w, [a, b] if a.0 < b.0)),
+            "fresh groups must be strictly ascending by id"
+        );
+        debug_assert!(
+            changed.windows(2).all(|w| matches!(w, [a, b] if a.0 < b.0)),
             "changed rows must be strictly ascending by user"
         );
+        let offset = |edges: usize| u32::try_from(edges).expect("edge count exceeds u32 range");
 
-        // Group side: bulk copy of the new member lists.
+        // Group side: merge the surviving base groups, bulk-copied in
+        // contiguous runs, with the fresh lists, in new-id order.
         self.group_offsets.clear();
-        self.group_offsets.reserve(lists.len() + 1);
         self.group_offsets.push(0u32);
         self.group_adj.clear();
-        self.group_adj.reserve(edges);
-        for members in lists {
-            for &u in *members {
-                self.group_adj.push(u.index() as u32);
+        self.group_adj.reserve(base.edge_count());
+        let mut new_ids = remap.map(|r| r.iter().copied());
+        let mut fresh = fresh.iter().peekable();
+        let mut run = 0..0usize;
+        for (old, bounds) in (0u32..).zip(base.group_offsets.windows(2)) {
+            let new = new_ids
+                .as_mut()
+                .map_or(Some(old), Iterator::next)
+                .unwrap_or(u32::MAX);
+            let &[lo, hi] = bounds else { continue };
+            if new == u32::MAX {
+                continue;
             }
-            self.group_offsets.push(self.group_adj.len() as u32);
+            let mut replaced = false;
+            while let Some(&(g, members)) = fresh.next_if(|(g, _)| *g <= new) {
+                self.copy_group_run(base, &mut run);
+                self.group_adj.extend(members.iter().map(|u| u.0));
+                self.group_offsets.push(offset(self.group_adj.len()));
+                replaced |= g == new;
+            }
+            if replaced {
+                continue;
+            }
+            let (lo, hi) = (lo as usize, hi as usize);
+            if run.end != lo {
+                self.copy_group_run(base, &mut run);
+                run = lo..lo;
+            }
+            run.end = hi;
+            self.group_offsets
+                .push(offset(self.group_adj.len() + run.len()));
+        }
+        self.copy_group_run(base, &mut run);
+        for &(_, members) in fresh {
+            self.group_adj.extend(members.iter().map(|u| u.0));
+            self.group_offsets.push(offset(self.group_adj.len()));
         }
 
-        // User offsets: degrees change only for the changed users.
+        // User side: runs of unchanged users are bulk copies of `base`,
+        // between which the changed rows are spliced in.
         self.user_offsets.clear();
-        self.user_offsets.reserve(user_count + 1);
         self.user_offsets.push(0u32);
-        let mut ci = 0usize;
-        let mut running = 0u32;
-        for u in 0..user_count {
-            let deg = match changed.get(ci) {
-                Some(&(cu, ref row)) if cu as usize == u => {
-                    ci += 1;
-                    row.len() as u32
-                }
-                _ => base.user_degree(u) as u32,
-            };
-            running += deg;
-            self.user_offsets.push(running);
+        self.user_adj.clear();
+        self.user_adj.reserve(self.group_adj.len());
+        let mut next = 0usize;
+        for (u, row) in changed {
+            let u = *u as usize;
+            self.copy_user_run(base, next..u, remap);
+            self.user_adj.extend_from_slice(row);
+            self.user_offsets.push(offset(self.user_adj.len()));
+            next = u + 1;
         }
+        self.copy_user_run(base, next..base.user_count(), remap);
         assert_eq!(
-            running as usize, edges,
+            self.user_adj.len(),
+            self.group_adj.len(),
             "changed rows disagree with the member lists on the edge count"
         );
-
-        // User adjacency: memcpy the unchanged spans, splice changed rows.
-        self.user_adj.clear();
-        self.user_adj.reserve(edges);
-        let mut next_unchanged = 0usize;
-        for &(u, ref row) in changed {
-            let u = u as usize;
-            let lo = base.user_offsets[next_unchanged] as usize;
-            let hi = base.user_offsets[u] as usize;
-            self.user_adj.extend_from_slice(&base.user_adj[lo..hi]);
-            self.user_adj.extend_from_slice(row);
-            next_unchanged = u + 1;
-        }
-        let lo = base.user_offsets[next_unchanged] as usize;
-        self.user_adj.extend_from_slice(&base.user_adj[lo..]);
 
         debug_assert!(
             self.validate().is_ok(),
             "CSR patch violated the invariants: {}",
             self.validate().unwrap_err()
         );
+    }
+
+    /// Appends `base`'s group-side edges in `run` and empties the run at
+    /// its end.
+    fn copy_group_run(&mut self, base: &CsrGraph, run: &mut std::ops::Range<usize>) {
+        self.group_adj
+            .extend_from_slice(&base.group_adj[run.clone()]);
+        run.start = run.end;
+    }
+
+    /// Appends `base`'s rows of the unchanged `users`: their offsets
+    /// shifted to follow the rows written so far, their edges renumbered
+    /// by `remap`.
+    fn copy_user_run(
+        &mut self,
+        base: &CsrGraph,
+        users: std::ops::Range<usize>,
+        remap: Option<&[u32]>,
+    ) {
+        let offsets = &base.user_offsets[users.start..=users.end];
+        let (Some(&lo), Some(&hi)) = (offsets.first(), offsets.last()) else {
+            return;
+        };
+        let shift = (self.user_adj.len() as u32).wrapping_sub(lo);
+        self.user_offsets
+            .extend(offsets.iter().skip(1).map(|&o| o.wrapping_add(shift)));
+        let edges = &base.user_adj[lo as usize..hi as usize];
+        match remap {
+            None => self.user_adj.extend_from_slice(edges),
+            Some(remap) => self
+                .user_adj
+                .extend(edges.iter().map(|&g| remap[g as usize])),
+        }
     }
 
     /// Checks the structural invariants of the CSR representation: offset
@@ -445,26 +503,38 @@ mod tests {
         let g2 = [UserId(3), UserId(4)];
         let lists: Vec<&[UserId]> = vec![&g0, &g1, &g2];
         let mut patched = CsrGraph::default();
-        patched.patch_from(&base, &lists, &[(1, vec![0]), (4, vec![1, 2])]);
+        patched.patch_from(
+            &base,
+            None,
+            &[(1, &g1), (2, &g2)],
+            &[(1, vec![0]), (4, vec![1, 2])],
+        );
         assert_eq!(patched, CsrGraph::from_member_lists(5, &lists));
 
         // An empty delta is the identity.
-        let b0 = [UserId(0), UserId(1)];
-        let b1 = [UserId(1), UserId(2)];
-        let b2 = [UserId(3)];
-        let base_lists: Vec<&[UserId]> = vec![&b0, &b1, &b2];
         let mut same = CsrGraph::default();
-        same.patch_from(&base, &base_lists, &[]);
+        same.patch_from(&base, None, &[], &[]);
         assert_eq!(same, base);
     }
 
     #[test]
-    #[should_panic(expected = "unchanged group universe")]
-    fn patch_from_rejects_a_changed_universe() {
+    fn patch_from_remaps_a_shifted_universe() {
+        // Base: G0 = {0,1}, G1 = {1,2}, G2 = {3} over 5 users. User 3
+        // leaves G2 (it empties and drops out) and joins a new group
+        // ordered between G0 and G1, so old G1 becomes G2.
         let base = CsrGraph::from_group_set(&demo());
-        let g0 = [UserId(0)];
-        let lists: Vec<&[UserId]> = vec![&g0];
-        CsrGraph::default().patch_from(&base, &lists, &[]);
+        let g0 = [UserId(0), UserId(1)];
+        let new = [UserId(3)];
+        let g2 = [UserId(1), UserId(2)];
+        let lists: Vec<&[UserId]> = vec![&g0, &new, &g2];
+        let mut patched = CsrGraph::default();
+        patched.patch_from(
+            &base,
+            Some(&[0, 2, u32::MAX]),
+            &[(1, &new)],
+            &[(3, vec![1])],
+        );
+        assert_eq!(patched, CsrGraph::from_member_lists(5, &lists));
     }
 
     #[test]

@@ -36,12 +36,27 @@ pub enum GroupKind {
 }
 
 /// A materialized user group: definition plus sorted member list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimpleGroup {
     /// What defines the group.
     pub kind: GroupKind,
     /// Members, sorted by [`UserId`].
     pub members: Vec<UserId>,
+}
+
+impl Clone for SimpleGroup {
+    fn clone(&self) -> Self {
+        Self {
+            kind: self.kind.clone(),
+            members: self.members.clone(),
+        }
+    }
+
+    /// Reuses the member allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.kind.clone_from(&source.kind);
+        self.members.clone_from(&source.members);
+    }
 }
 
 impl SimpleGroup {
@@ -58,7 +73,7 @@ impl SimpleGroup {
 }
 
 /// The set of groups `𝒢` over a repository, with bidirectional links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Serialize, Deserialize)]
 pub struct GroupSet {
     groups: Vec<SimpleGroup>,
     /// For each user, the (sorted) list of groups they belong to — the
@@ -66,6 +81,28 @@ pub struct GroupSet {
     user_groups: Vec<Vec<GroupId>>,
     /// Copy of the bucket definitions for label rendering.
     buckets: PropertyBuckets,
+}
+
+impl Clone for GroupSet {
+    fn clone(&self) -> Self {
+        Self {
+            groups: self.groups.clone(),
+            user_groups: self.user_groups.clone(),
+            buckets: self.buckets.clone(),
+        }
+    }
+
+    /// Reuses every member list and reverse-link row allocation: a bulk
+    /// copy with no per-edge work. A publisher with no earlier epoch of its
+    /// own to patch starts from a copy of the previous one.
+    fn clone_from(&mut self, source: &Self) {
+        self.groups.clone_from(&source.groups);
+        self.user_groups.clone_from(&source.user_groups);
+        // Sets of one publisher share their bucketing: compare, not clone.
+        if self.buckets != source.buckets {
+            self.buckets.clone_from(&source.buckets);
+        }
+    }
 }
 
 impl GroupSet {
@@ -145,26 +182,52 @@ impl GroupSet {
         self.groups.truncate(count);
     }
 
-    /// Patches `self` — a group set materialized from an **earlier epoch
-    /// of the same published group universe** — up to the current state:
-    /// `dirty` replaces the member lists of the named group indices and
-    /// `relink` replaces the reverse-link rows of the affected users.
-    /// Everything else (group count, kinds, ordering, unaffected rows,
-    /// bucket definitions) is untouched, which is exactly what makes this
-    /// O(|changed|) where [`GroupSet::assign_simple_memberships`] is
-    /// O(|edges|).
+    /// Patches `self` — a set of simple groups materialized from an
+    /// earlier epoch — up to the current one. When ids shifted, `remap`
+    /// maps each group's old id to its new one (`u32::MAX` for a group
+    /// whose slot emptied): those groups leave, the rest keep their order,
+    /// and every reverse link is renumbered in place. `fresh` then names,
+    /// ascending by new id, every group that is new or whose members
+    /// changed, and `relink` replaces the reverse-link rows of the users
+    /// whose memberships changed. Unaffected member lists and rows, and the
+    /// bucket definitions, are untouched: O(|changed|), plus one pass over
+    /// the links when ids shifted, where
+    /// [`GroupSet::assign_simple_memberships`] is O(|edges|).
     ///
     /// The caller ([`crate::incremental::IncrementalGroups::patch_groups_into`])
     /// guarantees the universe match; indices out of range panic.
-    pub fn patch_simple_memberships<'m>(
+    pub(crate) fn patch_simple_memberships<'m>(
         &mut self,
-        dirty: impl Iterator<Item = (usize, &'m [UserId])>,
+        remap: Option<&[u32]>,
+        fresh: impl Iterator<Item = (GroupId, PropertyId, BucketIdx, &'m [UserId])>,
         relink: impl Iterator<Item = (UserId, Vec<GroupId>)>,
     ) {
-        for (g, members) in dirty {
+        if let Some(remap) = remap {
+            let mut kept = remap.iter().map(|&g| g != u32::MAX);
+            self.groups.retain(|_| kept.next().unwrap_or(false));
+            // Rows naming a dropped group belong to changed users and are
+            // replaced by `relink` below.
+            for row in &mut self.user_groups {
+                for g in row.iter_mut() {
+                    *g = GroupId(remap[g.index()]);
+                }
+            }
+        }
+        for (g, property, bucket, members) in fresh {
             debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
             debug_assert!(!members.is_empty(), "empty groups are dropped");
-            let slot = &mut self.groups[g].members;
+            let kind = GroupKind::Simple { property, bucket };
+            if self.groups.get(g.index()).map(|old| &old.kind) != Some(&kind) {
+                debug_assert!(remap.is_some(), "only a shift fills a slot");
+                self.groups.insert(
+                    g.index(),
+                    SimpleGroup {
+                        kind,
+                        members: Vec::new(),
+                    },
+                );
+            }
+            let slot = &mut self.groups[g.index()].members;
             slot.clear();
             slot.extend_from_slice(members);
         }

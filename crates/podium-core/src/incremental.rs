@@ -14,6 +14,16 @@
 //! * `snapshot()` materializes a plain [`GroupSet`] (dropping empty
 //!   groups) for the selection algorithms.
 //!
+//! A publisher does not re-snapshot every epoch. The structure keeps one
+//! flat slot → published-id table (the non-empty slots in `(property,
+//! bucket)` order are groups `0, 1, …`), and [`EpochDelta`] names the
+//! users and slots a batch changed. [`IncrementalGroups::patch_csr_into`]
+//! and [`IncrementalGroups::patch_groups_into`] rewrite only those users'
+//! rows and those slots' member lists and bulk-copy the rest of an
+//! earlier epoch. When a slot empties or fills, every later group id
+//! shifts by one; the patches then remap ids as they copy. The only delta
+//! they refuse is one that adds users.
+//!
 //! Bucket boundaries themselves stay fixed between re-fits — exactly the
 //! prototype's behavior, where the Grouping Module runs "in an offline
 //! process" (§7) and selection queries arrive online. Re-fit (re-bucket)
@@ -63,16 +73,23 @@ impl EpochDelta {
         self.users_added
     }
 
-    /// Whether the published group universe changed shape.
+    /// Whether some slot emptied or filled, shifting published group ids.
     pub fn universe_changed(&self) -> bool {
         self.universe_changed
     }
 
-    /// Whether the previous epoch's CSR can be patched in place: the group
-    /// universe kept its shape and no users were added, so every published
-    /// group id (and the user-offset table's length) is stable.
-    pub fn patchable(&self) -> bool {
-        !self.universe_changed && self.users_added == 0
+    /// Folds `later`, the delta of a following epoch, into `self`, which
+    /// then describes both epochs' changes at once: what a buffer that is
+    /// several epochs behind must catch up on.
+    pub fn absorb(&mut self, later: &EpochDelta) {
+        self.changed_users.extend_from_slice(&later.changed_users);
+        self.changed_users.sort_unstable();
+        self.changed_users.dedup();
+        self.dirty_slots.extend_from_slice(&later.dirty_slots);
+        self.dirty_slots.sort_unstable();
+        self.dirty_slots.dedup();
+        self.users_added += later.users_added;
+        self.universe_changed |= later.universe_changed;
     }
 
     fn note_user(&mut self, u: UserId) {
@@ -96,6 +113,14 @@ pub struct IncrementalGroups {
     /// `slots[p][b]` = sorted member list of `G_{p,b}` (possibly empty —
     /// unlike [`GroupSet`], empty slots persist so ids stay stable).
     slots: Vec<Vec<Vec<UserId>>>,
+    /// Flat index of slot `(p, 0)`; slot `(p, b)` is `first_slot[p] + b`.
+    /// The last entry is the number of slots.
+    first_slot: Vec<usize>,
+    /// Published group id of every slot, flat-indexed; `None` while the
+    /// slot is empty. Renumbered only when a slot empties or fills.
+    ids: Vec<Option<GroupId>>,
+    /// Number of non-empty slots: the published group count.
+    group_count: usize,
     /// Current bucket of each (user, property) membership:
     /// `current[u]` is a sorted list of `(property, bucket)`.
     current: Vec<Vec<(PropertyId, BucketIdx)>>,
@@ -122,13 +147,24 @@ impl IncrementalGroups {
                 }
             }
         }
-        Self {
+        let first_slot: Vec<usize> = std::iter::once(0)
+            .chain(slots.iter().scan(0, |flat, buckets| {
+                *flat += buckets.len();
+                Some(*flat)
+            }))
+            .collect();
+        let mut inc = Self {
             buckets: buckets.clone(),
+            ids: vec![None; first_slot.last().copied().unwrap_or(0)],
+            first_slot,
             slots,
+            group_count: 0,
             current,
             user_count: repo.user_count(),
             delta: EpochDelta::default(),
-        }
+        };
+        inc.renumber();
+        inc
     }
 
     /// The structural changes accumulated since the last
@@ -197,6 +233,7 @@ impl IncrementalGroups {
             return (old_bucket, new_bucket); // no structural change
         }
         self.delta.note_user(u);
+        let mut crossed = false;
         if let Some(i) = old_idx {
             let (_, b) = memberships.remove(i);
             let slot = &mut self.slots[p.index()][b.index()];
@@ -204,6 +241,7 @@ impl IncrementalGroups {
                 slot.remove(pos);
             }
             let emptied = slot.is_empty();
+            crossed |= emptied;
             self.delta.note_slot(p, b, emptied);
         }
         if let Some(b) = new_bucket {
@@ -213,7 +251,11 @@ impl IncrementalGroups {
                 slot.insert(pos, u);
             }
             self.current[u.index()].push((p, b));
+            crossed |= was_empty;
             self.delta.note_slot(p, b, was_empty);
+        }
+        if crossed {
+            self.renumber();
         }
         (old_bucket, new_bucket)
     }
@@ -229,10 +271,9 @@ impl IncrementalGroups {
 
     /// In-place variant of [`IncrementalGroups::snapshot`]: rebuilds `out`
     /// from the current slots, reusing its member-vector and reverse-link
-    /// allocations. A writer that publishes one snapshot per epoch calls
-    /// this with the group set it is about to publish (or a recycled
-    /// retired one) instead of paying a full from-scratch rebuild when only
-    /// a few slots changed.
+    /// allocations. The from-scratch reference that
+    /// [`IncrementalGroups::patch_groups_into`] must equal, and the
+    /// publish path's fallback when an epoch adds users.
     pub fn snapshot_into(&self, out: &mut GroupSet) {
         out.assign_simple_memberships(self.user_count, non_empty_slots(&self.slots), &self.buckets);
     }
@@ -252,153 +293,163 @@ impl IncrementalGroups {
     /// `out` with the CSR of the current non-empty groups, reusing its
     /// buffers. The full-rebuild fallback of the publish path.
     pub fn snapshot_csr_into(&self, out: &mut CsrGraph) {
-        let lists = self.non_empty_lists();
+        let lists: Vec<&[UserId]> = non_empty_slots(&self.slots)
+            .map(|(_, _, members)| members)
+            .collect();
         out.assign_from_member_lists(self.user_count, &lists);
     }
 
-    /// Patches `out` into the CSR of the current state using `base` — the
-    /// CSR of the state as of the last [`IncrementalGroups::take_delta`] —
-    /// and `delta`, the value that `take_delta` returned (or the pending
-    /// delta). Per-edge work is spent only on the delta's changed users;
-    /// everything else is a bulk copy of `base`. Returns `false`, leaving
-    /// `out` untouched, when the delta is not [`EpochDelta::patchable`] or
-    /// `base` does not match the expected previous shape — the caller then
-    /// falls back to [`IncrementalGroups::snapshot_csr_into`].
+    /// Patches `out` into the CSR of the current state from `base` and
+    /// `base_groups` — the CSR and group set published at the last
+    /// [`IncrementalGroups::take_delta`] — and `delta`, the value that
+    /// `take_delta` returned. Only the delta's changed users' rows and its
+    /// dirty slots' member lists are written element by element; the rest
+    /// is bulk-copied from `base`, with group ids remapped (read off
+    /// `base_groups`' slots) when a slot emptied or filled. Returns
+    /// `false`, leaving `out` untouched, when the delta added users or the
+    /// bases do not have the expected shape — the caller then falls back
+    /// to [`IncrementalGroups::snapshot_csr_into`].
     ///
     /// The patched graph is bit-identical to what `snapshot_csr` builds
     /// from scratch.
-    pub fn patch_csr_into(&self, delta: &EpochDelta, base: &CsrGraph, out: &mut CsrGraph) -> bool {
-        if !delta.patchable() || base.user_count() != self.user_count {
+    pub fn patch_csr_into(
+        &self,
+        delta: &EpochDelta,
+        base: &CsrGraph,
+        base_groups: &GroupSet,
+        out: &mut CsrGraph,
+    ) -> bool {
+        if delta.users_added > 0
+            || base.user_count() != self.user_count
+            || base.group_count() != base_groups.len()
+        {
             return false;
         }
-        let lists = self.non_empty_lists();
-        if lists.len() != base.group_count() {
+        let Some(remap) = self.remap_if(delta.universe_changed, base_groups) else {
             return false;
-        }
-        // Under a patchable delta every slot a changed user belongs to is
-        // non-empty (it contains them), so its published rank is defined.
-        let ranks = self.slot_ranks();
+        };
+        let fresh: Vec<(u32, &[UserId])> = self
+            .fresh_groups(&delta.dirty_slots)
+            .map(|(g, _, _, members)| (g.0, members))
+            .collect();
         let changed: Vec<(u32, Vec<u32>)> = delta
             .changed_users
             .iter()
-            .map(|&u| {
-                let mut row: Vec<u32> = self.current[u.index()]
-                    .iter()
-                    .map(|&(p, b)| ranks[p.index()][b.index()])
-                    .collect();
-                row.sort_unstable();
-                (u.0, row)
-            })
+            .map(|&u| (u.0, self.links_of(u).into_iter().map(|g| g.0).collect()))
             .collect();
-        out.patch_from(base, &lists, &changed);
+        out.patch_from(base, remap.as_deref(), &fresh, &changed);
+        debug_assert_eq!(out.group_count(), self.group_count, "patched group count");
         true
     }
 
-    /// Patches `out` — a [`GroupSet`] materialized from an **earlier
-    /// epoch of the same published group universe** — up to the current
-    /// state. `dirty_slots` must be the ascending, deduplicated union of
-    /// the dirty slots of every epoch delta between `out`'s epoch and
-    /// now, and each of those deltas must have been
-    /// [`EpochDelta::patchable`] (so group ids and the user universe are
-    /// stable across the whole span). Work is O(members of dirty slots),
-    /// not O(edges): only the dirty member lists and the reverse links of
-    /// users appearing in them (old or new) are rewritten.
+    /// Patches `out` — a group set published from this structure at an
+    /// earlier epoch — up to the current state. `span` is the union
+    /// ([`EpochDelta::absorb`]) of every epoch delta between `out`'s epoch
+    /// and now. Only the span's dirty slots' member lists and its changed
+    /// users' reverse-link rows are rewritten; when the span emptied or
+    /// filled a slot, the group list shifts around those slots and every
+    /// other row's ids are remapped in place.
     ///
-    /// Returns `false`, leaving `out` untouched, when the cheap structural
-    /// preconditions do not hold (user count, group count, or a dirty
-    /// slot's identity/rank mismatch) — the caller then falls back to
-    /// [`IncrementalGroups::snapshot_into`]. The patched set compares
-    /// group-for-group and link-for-link equal to a from-scratch snapshot.
-    pub fn patch_groups_into(
-        &self,
-        dirty_slots: &[(PropertyId, BucketIdx)],
-        out: &mut GroupSet,
-    ) -> bool {
-        if out.user_count() != self.user_count {
+    /// Returns `false`, leaving `out` untouched, when the span added users
+    /// or `out` does not have the expected shape — the caller then falls
+    /// back. The patched set compares group-for-group and link-for-link
+    /// equal to a from-scratch snapshot.
+    pub fn patch_groups_into(&self, span: &EpochDelta, out: &mut GroupSet) -> bool {
+        if span.users_added > 0 || out.user_count() != self.user_count {
             return false;
         }
-        let ranks = self.slot_ranks();
-        if out.len() != non_empty_slots(&self.slots).count() {
+        let Some(remap) = self.remap_if(span.universe_changed, out) else {
             return false;
-        }
-        let mut dirty_ranked: Vec<(usize, &[UserId])> = Vec::with_capacity(dirty_slots.len());
-        let mut affected: Vec<UserId> = Vec::new();
-        for &(p, b) in dirty_slots {
-            let Some(&rank) = ranks.get(p.index()).and_then(|r| r.get(b.index())) else {
-                return false;
-            };
-            if rank == u32::MAX {
-                // A dirty slot that is empty now crossed the universe
-                // boundary at some point — the span was not patchable.
-                return false;
-            }
-            let members = self.slots[p.index()][b.index()].as_slice();
-            let Ok(old) = out.group(GroupId(rank)) else {
-                return false;
-            };
-            if old.kind
-                != (GroupKind::Simple {
-                    property: p,
-                    bucket: b,
-                })
-            {
-                return false;
-            }
-            affected.extend_from_slice(&old.members);
-            affected.extend_from_slice(members);
-            dirty_ranked.push((GroupId(rank).index(), members));
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        let relink = affected.iter().map(|&u| {
-            let mut row: Vec<GroupId> = self.current[u.index()]
-                .iter()
-                .map(|&(p, b)| GroupId(ranks[p.index()][b.index()]))
-                .collect();
-            row.sort_unstable();
-            (u, row)
-        });
-        out.patch_simple_memberships(dirty_ranked.iter().copied(), relink);
+        };
+        let relink = span.changed_users.iter().map(|&u| (u, self.links_of(u)));
+        out.patch_simple_memberships(
+            remap.as_deref(),
+            self.fresh_groups(&span.dirty_slots),
+            relink,
+        );
+        debug_assert_eq!(out.len(), self.group_count, "patched group count");
         true
     }
 
-    /// The published group indices (positions in the snapshot/CSR group
-    /// ordering) of the delta's dirty slots, ascending — the groups whose
-    /// member lists changed this epoch. Meaningful only while the delta is
-    /// [`EpochDelta::patchable`] (otherwise ids have shifted); slots that
-    /// are currently empty are skipped.
+    /// The published ids of the delta's dirty slots that are non-empty
+    /// now, ascending — the groups whose member lists changed. Meaningful
+    /// against an earlier epoch's ids only when the delta did not change
+    /// the universe.
     pub fn dirty_group_ids(&self, delta: &EpochDelta) -> Vec<u32> {
-        let mut dirty = delta.dirty_slots.iter().peekable();
-        let mut out = Vec::with_capacity(delta.dirty_slots.len());
-        for (rank, (p, b, _)) in (0u32..).zip(non_empty_slots(&self.slots)) {
-            while dirty.next_if(|&&key| key < (p, b)).is_some() {}
-            if dirty.peek() == Some(&&(p, b)) {
-                out.push(rank);
-            }
-        }
-        out
-    }
-
-    /// The non-empty slot member lists in published (flat) order.
-    fn non_empty_lists(&self) -> Vec<&[UserId]> {
-        non_empty_slots(&self.slots)
-            .map(|(_, _, members)| members)
+        self.fresh_groups(&delta.dirty_slots)
+            .map(|(g, ..)| g.0)
             .collect()
     }
 
-    /// The published rank of every slot (`u32::MAX` for empty slots).
-    fn slot_ranks(&self) -> Vec<Vec<u32>> {
-        let mut ranks: Vec<Vec<u32>> = self
-            .slots
+    /// The flat index of slot `(p, b)`; `None` if there is no such slot.
+    fn flat(&self, p: PropertyId, b: BucketIdx) -> Option<usize> {
+        let first = *self.first_slot.get(p.index())?;
+        let end = *self.first_slot.get(p.index() + 1)?;
+        Some(first + b.index()).filter(|&flat| flat < end)
+    }
+
+    /// The published id of slot `(p, b)`; `None` while the slot is empty.
+    fn id_of(&self, p: PropertyId, b: BucketIdx) -> Option<GroupId> {
+        self.ids.get(self.flat(p, b)?).copied().flatten()
+    }
+
+    /// The non-empty slots among `dirty` (ascending, so their ids are
+    /// too) with their ids and current members.
+    fn fresh_groups<'a>(
+        &'a self,
+        dirty: &'a [(PropertyId, BucketIdx)],
+    ) -> impl Iterator<Item = (GroupId, PropertyId, BucketIdx, &'a [UserId])> + 'a {
+        dirty
             .iter()
-            .map(|buckets| vec![u32::MAX; buckets.len()])
+            .filter_map(|&(p, b)| Some((self.id_of(p, b)?, p, b, self.members(p, b))))
+    }
+
+    /// User `u`'s groups as published ids, ascending.
+    fn links_of(&self, u: UserId) -> Vec<GroupId> {
+        let mut row: Vec<GroupId> = self
+            .current
+            .get(u.index())
+            .into_iter()
+            .flatten()
+            .filter_map(|&(p, b)| self.id_of(p, b))
             .collect();
-        for (rank, (p, b, _)) in (0u32..).zip(non_empty_slots(&self.slots)) {
-            if let Some(slot) = ranks.get_mut(p.index()).and_then(|r| r.get_mut(b.index())) {
-                *slot = rank;
-            }
+        row.sort_unstable();
+        row
+    }
+
+    /// `Some(None)` when ids did not shift, `Some(Some(remap))` with the
+    /// current id of each of `base`'s groups (`u32::MAX` for one whose slot
+    /// emptied) when they did. `None` when `base` cannot be a set this
+    /// structure published: a group that is not one of its slots, or, with
+    /// ids unshifted, a group count that is not the current one.
+    fn remap_if(&self, shifted: bool, base: &GroupSet) -> Option<Option<Vec<u32>>> {
+        if !shifted {
+            return (base.len() == self.group_count).then_some(None);
         }
-        ranks
+        let remap = base
+            .iter()
+            .map(|(_, g)| match g.kind {
+                GroupKind::Simple { property, bucket } => {
+                    let slot = self.ids.get(self.flat(property, bucket)?)?;
+                    Some(slot.map_or(u32::MAX, |id| id.0))
+                }
+                GroupKind::Complex { .. } => None,
+            })
+            .collect::<Option<Vec<u32>>>()?;
+        Some(Some(remap))
+    }
+
+    /// Renumbers the published ids after a slot emptied or filled: the
+    /// non-empty slots, in flat order, are groups `0..group_count`.
+    fn renumber(&mut self) {
+        let mut next = 0usize;
+        for (id, members) in self.ids.iter_mut().zip(self.slots.iter().flatten()) {
+            *id = (!members.is_empty()).then(|| {
+                next += 1;
+                GroupId::from_index(next - 1)
+            });
+        }
+        self.group_count = next;
     }
 }
 
@@ -630,65 +681,56 @@ mod tests {
         let vfc = repo.property_id("visitFreq CheapEats").unwrap();
         let vfm = repo.property_id("visitFreq Mexican").unwrap();
 
-        // The stale buffer is TWO patchable epochs behind: the patch has
-        // to catch it up through the union of both deltas' dirty slots.
+        // The stale buffer is TWO epochs behind: the patch has to catch it
+        // up through the union of both deltas.
         let mut stale = inc.snapshot();
         inc.update_score(carol, vfc, Some(0.9));
-        let d1 = inc.take_delta();
-        assert!(d1.patchable());
+        let mut span = inc.take_delta();
         inc.update_score(david, vfm, Some(0.7));
         inc.update_score(carol, vfc, Some(0.15));
-        let d2 = inc.take_delta();
-        assert!(d2.patchable());
-
-        let mut union: Vec<_> = d1
-            .dirty_slots()
-            .iter()
-            .chain(d2.dirty_slots())
-            .copied()
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        assert!(inc.patch_groups_into(&union, &mut stale));
+        span.absorb(&inc.take_delta());
+        assert!(!span.universe_changed());
+        assert_eq!(span.changed_users(), &[carol, david]);
+        assert!(inc.patch_groups_into(&span, &mut stale));
         assert_same_set(&inc, &stale);
 
-        // An empty union over an up-to-date buffer is the identity.
-        assert!(inc.patch_groups_into(&[], &mut stale));
+        // An empty span over an up-to-date buffer is the identity.
+        assert!(inc.patch_groups_into(&EpochDelta::default(), &mut stale));
         assert_same_set(&inc, &stale);
     }
 
     #[test]
-    fn patch_groups_refuses_structural_mismatches() {
-        let (repo, _, mut inc) = setup();
+    fn patch_groups_remaps_shifted_ids_and_refuses_added_users() {
+        let (repo, buckets, mut inc) = setup();
         let bob = repo.user_by_name("Bob").unwrap();
+        let carol = repo.user_by_name("Carol").unwrap();
         let mex = repo.property_id("avgRating Mexican").unwrap();
 
-        // User-count mismatch: a buffer from before a user was added.
+        // Two id-shifting epochs behind: Bob leaves the low-Mexican bucket
+        // he alone held (every later id shifts down), then Carol fills the
+        // empty middle bucket (every later id shifts up).
         let mut stale = inc.snapshot();
+        inc.update_score(bob, mex, Some(0.9));
+        let mut span = inc.take_delta();
+        assert!(span.universe_changed());
+        inc.update_score(carol, mex, Some(0.5));
+        span.absorb(&inc.take_delta());
+        assert!(span.universe_changed());
+        let low = buckets.of(mex).bucket_of(0.3).unwrap();
+        let mid = buckets.of(mex).bucket_of(0.5).unwrap();
+        assert!(inc.members(mex, low).is_empty());
+        assert_eq!(inc.members(mex, mid), &[carol]);
+        assert!(inc.patch_groups_into(&span, &mut stale));
+        assert_same_set(&inc, &stale);
+
+        // A buffer from before a user was added is refused, untouched.
+        let mut before = inc.snapshot();
         let frank = inc.add_user();
         inc.update_score(frank, mex, Some(0.2));
         let delta = inc.take_delta();
-        assert!(!delta.patchable());
-        let before = stale.clone();
-        assert!(!inc.patch_groups_into(delta.dirty_slots(), &mut stale));
-        assert_eq!(
-            stale.len(),
-            before.len(),
-            "refused patch leaves out untouched"
-        );
-
-        // Group-count mismatch: the universe gained a slot.
-        let mut stale = inc.snapshot();
-        inc.update_score(bob, mex, None);
-        let delta = inc.take_delta();
-        if delta.patchable() {
-            // Bob shared his bucket, so the universe kept its shape and
-            // the patch goes through; dirty a slot that is now empty to
-            // exercise the rank guard instead.
-            assert!(inc.patch_groups_into(delta.dirty_slots(), &mut stale));
-        } else {
-            assert!(!inc.patch_groups_into(delta.dirty_slots(), &mut stale));
-        }
+        assert_eq!(delta.users_added(), 1);
+        assert!(!inc.patch_groups_into(&delta, &mut before));
+        assert_eq!(before.user_count(), 5, "refused patch leaves out untouched");
     }
 
     #[test]
@@ -734,27 +776,58 @@ mod tests {
         let (repo, _, mut inc) = setup();
         let bob = repo.user_by_name("Bob").unwrap();
         let nyc = repo.property_id("livesIn NYC").unwrap();
-        // Bob is the only NYC member: retracting empties the slot.
+        // Bob is the only NYC member: retracting empties the slot, and the
+        // group set of the epoch before patches across the id shift.
+        let mut groups = inc.snapshot();
         inc.update_score(bob, nyc, None);
-        assert!(inc.pending_delta().universe_changed());
-        assert!(!inc.pending_delta().patchable());
-        inc.take_delta();
+        let delta = inc.take_delta();
+        assert!(delta.universe_changed());
+        assert_eq!(delta.users_added(), 0);
+        assert!(inc.patch_groups_into(&delta, &mut groups));
+        assert_same_set(&inc, &groups);
 
-        let frank = inc.add_user();
-        assert_eq!(inc.pending_delta().users_added(), 1);
-        assert!(!inc.pending_delta().patchable());
-        let _ = frank;
+        // A user-adding delta is flagged and still refused.
+        inc.add_user();
+        let delta = inc.take_delta();
+        assert_eq!(delta.users_added(), 1);
+        assert!(!inc.patch_groups_into(&delta, &mut groups));
+        assert_eq!(groups.user_count(), 5, "refused patch leaves out untouched");
+    }
+
+    #[test]
+    fn patch_csr_remaps_id_shifts_and_refuses_added_users() {
+        let (repo, _, mut inc) = setup();
+        let bob = repo.user_by_name("Bob").unwrap();
+        let carol = repo.user_by_name("Carol").unwrap();
+        let nyc = repo.property_id("livesIn NYC").unwrap();
+        let mex = repo.property_id("avgRating Mexican").unwrap();
+        let (base, base_groups) = (inc.snapshot_csr(), inc.snapshot());
+        // One delta empties the NYC slot and fills the middle Mexican one.
+        inc.update_score(bob, nyc, None);
+        inc.update_score(carol, mex, Some(0.5));
+        let delta = inc.take_delta();
+        assert!(delta.universe_changed());
+        let mut patched = CsrGraph::default();
+        assert!(inc.patch_csr_into(&delta, &base, &base_groups, &mut patched));
+        assert_eq!(patched, inc.snapshot_csr(), "patch == from-scratch");
+
+        let (base, base_groups) = (inc.snapshot_csr(), inc.snapshot());
+        inc.add_user();
+        let delta = inc.take_delta();
+        let mut out = CsrGraph::default();
+        assert!(!inc.patch_csr_into(&delta, &base, &base_groups, &mut out));
+        assert_eq!(out, CsrGraph::default(), "target untouched on refusal");
     }
 
     #[test]
     fn patch_csr_matches_from_scratch_rebuild() {
         let (repo, _, mut inc) = setup();
-        let base = inc.snapshot_csr();
+        let (base, base_groups) = (inc.snapshot_csr(), inc.snapshot());
         inc.take_delta();
 
-        // A patchable batch: two bucket moves that keep every slot
-        // non-empty (the source buckets retain other members, the target
-        // buckets already had some).
+        // Two bucket moves that keep every slot non-empty (the source
+        // buckets retain other members, the target buckets already had
+        // some): group ids stay put.
         let carol = repo.user_by_name("Carol").unwrap();
         let david = repo.user_by_name("David").unwrap();
         let vfc = repo.property_id("visitFreq CheapEats").unwrap();
@@ -762,10 +835,10 @@ mod tests {
         inc.update_score(carol, vfc, Some(0.9));
         inc.update_score(david, vfm, Some(0.7));
         let delta = inc.take_delta();
-        assert!(delta.patchable(), "batch kept the universe shape");
+        assert!(!delta.universe_changed(), "batch kept the universe shape");
 
         let mut patched = CsrGraph::default();
-        assert!(inc.patch_csr_into(&delta, &base, &mut patched));
+        assert!(inc.patch_csr_into(&delta, &base, &base_groups, &mut patched));
         assert_eq!(patched, inc.snapshot_csr(), "patch == from-scratch");
 
         // The dirty groups name exactly the slots whose members changed.
@@ -777,22 +850,10 @@ mod tests {
         assert_eq!(dirty, differing);
     }
 
-    #[test]
-    fn patch_csr_refuses_unpatchable_deltas() {
-        let (repo, _, mut inc) = setup();
-        let base = inc.snapshot_csr();
-        inc.take_delta();
-        let bob = repo.user_by_name("Bob").unwrap();
-        let nyc = repo.property_id("livesIn NYC").unwrap();
-        inc.update_score(bob, nyc, None); // empties the NYC slot
-        let delta = inc.take_delta();
-        let mut out = CsrGraph::default();
-        assert!(!inc.patch_csr_into(&delta, &base, &mut out));
-        assert_eq!(out, CsrGraph::default(), "target untouched on refusal");
-    }
-
-    /// Fuzz: random patchable-and-not update batches; whenever the batch
-    /// is patchable the patched CSR must equal the from-scratch build.
+    /// Fuzz: random update batches — bucket moves, retractions, slots that
+    /// empty and fill. Every patched CSR must equal the from-scratch build,
+    /// and a group set two epochs behind, caught up through the union of
+    /// both deltas, the from-scratch snapshot.
     #[test]
     fn random_batches_patch_bit_identically() {
         let (repo, _, mut inc) = setup();
@@ -805,6 +866,9 @@ mod tests {
             (state >> 33) as usize
         };
         let mut base = inc.snapshot_csr();
+        let mut base_groups = inc.snapshot();
+        let mut lagging = (inc.snapshot(), EpochDelta::default());
+        let mut shifted = 0;
         inc.take_delta();
         for _ in 0..60 {
             for _ in 0..1 + next() % 4 {
@@ -818,13 +882,20 @@ mod tests {
                 inc.update_score(u, p, s);
             }
             let delta = inc.take_delta();
+            shifted += usize::from(delta.universe_changed());
             let fresh = inc.snapshot_csr();
-            if delta.patchable() {
-                let mut patched = CsrGraph::default();
-                assert!(inc.patch_csr_into(&delta, &base, &mut patched));
-                assert_eq!(patched, fresh, "patched epoch != rebuilt epoch");
-            }
+            let mut patched = CsrGraph::default();
+            assert!(inc.patch_csr_into(&delta, &base, &base_groups, &mut patched));
+            assert_eq!(patched, fresh, "patched epoch != rebuilt epoch");
+
+            let (mut stale, mut span) = std::mem::take(&mut lagging);
+            span.absorb(&delta);
+            assert!(inc.patch_groups_into(&span, &mut stale));
+            assert_same_set(&inc, &stale);
+            lagging = (base_groups, delta);
             base = fresh;
+            base_groups = inc.snapshot();
         }
+        assert!(shifted > 5, "the fuzz shifts ids ({shifted} epochs)");
     }
 }

@@ -40,6 +40,29 @@
 //! | `constraints` | `select` | quota-constrained selection: an object `{"quotas": [{"group": G, "min_count"\|"min_ratio"?, "max_count"\|"max_ratio"?}, …], "anneal"?: {"seed", "steps", "t0", "cooling"}}`. Each quota window is enforced as a hard floor/ceiling on the group's selected-member count (ratios resolve against the budget); `anneal` additionally refines the greedy solution with that seeded schedule. Unsatisfiable windows fail with the `infeasible` code. The greedy run stops at `deadline_ms` like any select; the anneal pass, bounded by its `steps`, runs to completion. Omitted: plain unconstrained select. |
 //! | `session`     | `select` | pins the select to the epoch a session was opened on instead of the current one, always fresh on that epoch (`stale_ok` does not apply). Subject to the same retirement rule as `refine` (`session_retired`). Omitted: serve from the newest epoch. |
 //!
+//! The `stats` response's publish fields (cumulative since start unless
+//! marked *last*; see [`crate::snapshot::EpochBuildStats`]):
+//!
+//! | field                     | meaning                                                 |
+//! |---------------------------|---------------------------------------------------------|
+//! | `publishes`               | epochs published                                        |
+//! | `patched_publishes`       | publishes whose CSR was patched from the previous epoch |
+//! | `rebuilt_publishes`       | publishes whose CSR was rebuilt: an epoch that added users, or every epoch under `full-rebuild` |
+//! | `memos_carried`           | memoized selects carried into a new epoch               |
+//! | `memos_invalidated`       | memoized selects dropped at a publish                   |
+//! | `member_lists_rewritten`  | group member lists written element by element           |
+//! | `reverse_links_rewritten` | user → group link rows written element by element       |
+//! | `csr_rows_written`        | CSR user rows written element by element                |
+//! | `publish_batch_size`      | *last*: updates the newest epoch absorbed               |
+//! | `csr_patch_micros`        | *last*: µs patching the CSR (0 when rebuilt)            |
+//! | `full_rebuild_micros`     | *last*: µs rebuilding the CSR (0 when patched)          |
+//! | `publish_p50_micros`, `publish_p99_micros` | publish latency over the last 512 publishes |
+//!
+//! The three work counters are deterministic for a given update stream
+//! and reader pattern: a patch writes only the rows and lists its delta
+//! changed (rows merely renumbered after a slot emptied or filled are not
+//! counted), a rebuild writes every one.
+//!
 //! The parser is hand-rolled over [`serde_json::Value`]: the vendored
 //! serde stand-in has no tagged-enum derive, and a by-hand reader keeps
 //! the error messages precise anyway.

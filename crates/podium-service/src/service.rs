@@ -645,6 +645,15 @@ impl PodiumService {
                     ("memos_carried", num_u64(publish.memos_carried)),
                     ("memos_invalidated", num_u64(publish.memos_invalidated)),
                     (
+                        "member_lists_rewritten",
+                        num_u64(publish.member_lists_rewritten),
+                    ),
+                    (
+                        "reverse_links_rewritten",
+                        num_u64(publish.reverse_links_rewritten),
+                    ),
+                    ("csr_rows_written", num_u64(publish.csr_rows_written)),
+                    (
                         "publish_batch_size",
                         num_u64(publish.last.publish_batch_size),
                     ),
@@ -947,6 +956,9 @@ mod tests {
             "rebuilt_publishes",
             "memos_carried",
             "memos_invalidated",
+            "member_lists_rewritten",
+            "reverse_links_rewritten",
+            "csr_rows_written",
             "publish_batch_size",
             "csr_patch_micros",
             "full_rebuild_micros",
@@ -969,6 +981,18 @@ mod tests {
             stats.get("publish_batch_size").and_then(Value::as_u64),
             Some(1)
         );
+        // u11 left one bucket for another: one row and two member lists.
+        for (field, work) in [
+            ("csr_rows_written", 1),
+            ("reverse_links_rewritten", 1),
+            ("member_lists_rewritten", 2),
+        ] {
+            assert_eq!(
+                stats.get(field).and_then(Value::as_u64),
+                Some(work),
+                "{field}"
+            );
+        }
     }
 
     #[test]

@@ -10,11 +10,16 @@
 //!
 //! The [`RepositoryWriter`] is the only mutator. It applies profile
 //! updates through [`IncrementalGroups`] (point updates, §9's "incorporate
-//! data updates" scenario), then materializes the next snapshot with
-//! [`IncrementalGroups::snapshot_into`] — recycling the group-set
-//! allocations of retired epochs whose readers have all finished — and
-//! swaps it into the store. Selection hot paths never wait on the writer;
-//! the store's `RwLock` is held only for the duration of an `Arc` clone.
+//! data updates" scenario), then builds the next snapshot on the buffers
+//! of a retired epoch whose readers have all finished and swaps it into
+//! the store. In the default [`PublishMode::Incremental`] that build is a
+//! patch sized by the epoch's delta: the CSR is patched from the previous
+//! epoch's, the recycled group set and repository copy are caught up
+//! through the deltas of the epochs they missed, and unchanged rows are
+//! bulk-copied — with group ids remapped when a slot emptied or filled.
+//! Only an epoch that adds users rebuilds. Selection hot paths never wait
+//! on the writer; the store's `RwLock` is held only for the duration of an
+//! `Arc` clone.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, RwLock};
@@ -27,7 +32,7 @@ use podium_core::engine::{
 };
 use podium_core::greedy::Selection;
 use podium_core::group::GroupSet;
-use podium_core::ids::{BucketIdx, PropertyId, UserId};
+use podium_core::ids::{PropertyId, UserId};
 use podium_core::incremental::{EpochDelta, IncrementalGroups};
 use podium_core::instance::DiversificationInstance;
 use podium_core::profile::UserRepository;
@@ -95,18 +100,20 @@ pub struct SelectOutcome {
     /// was served from. Equal to `selection.score` — exact for a fresh
     /// computation; for a carried outcome the bound holds because carry is
     /// only permitted when no group the selection covers was dirtied by
-    /// any intervening delta (covered contributions are unchanged, and
-    /// newly grown uncovered groups can only add score).
+    /// any intervening delta and no intervening epoch shifted group ids
+    /// (covered contributions are unchanged, and newly grown uncovered
+    /// groups can only add score).
     pub certified_score_lb: f64,
 }
 
 /// How the single writer materializes each published epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PublishMode {
-    /// Delta-aware publishing: patch the previous epoch's CSR in place on
-    /// a recycled buffer, carry forward unaffected memoized selects, and
-    /// recycle the repository copy. The published snapshots are
-    /// bit-identical to [`PublishMode::FullRebuild`]'s.
+    /// Delta-aware publishing: patch the previous epoch's CSR onto a
+    /// recycled buffer, catch the recycled group set and repository copy
+    /// up through the deltas they missed, and carry forward unaffected
+    /// memoized selects. The published snapshots are bit-identical to
+    /// [`PublishMode::FullRebuild`]'s.
     #[default]
     Incremental,
     /// Rebuild every published structure from the incremental state and
@@ -136,13 +143,25 @@ pub struct EpochBuildStats {
     pub publish_micros: u64,
     /// Whether the CSR patch path ran (vs the full-rebuild fallback).
     pub patched: bool,
-    /// Whether the group set was patched in place on a recycled buffer
-    /// through the dirty-slot union of the epochs it was behind (vs the
-    /// full O(edges) rebuild).
+    /// Whether the group set was patched (vs the full O(edges) rebuild):
+    /// a recycled buffer caught up through the deltas of the epochs it is
+    /// behind, or else a bulk copy of the previous epoch's caught up
+    /// through this epoch's delta.
     pub groups_patched: bool,
     /// Whether the repository copy was produced by replaying the logged
     /// update batches onto a recycled copy (vs a full O(users) copy).
     pub repo_replayed: bool,
+    /// Group member lists the group set build wrote element by element:
+    /// the dirty groups of the patched span, or every group on a rebuild.
+    pub member_lists_rewritten: u64,
+    /// Reverse-link rows the group set build wrote element by element: the
+    /// users the patched span changed, or every user on a rebuild. Rows
+    /// only renumbered because ids shifted are not counted.
+    pub reverse_links_rewritten: u64,
+    /// CSR user rows written element by element: this epoch's changed
+    /// users when patched, every user on a rebuild. Rows only renumbered
+    /// because ids shifted are not counted.
+    pub csr_rows_written: u64,
 }
 
 /// Cumulative writer-side publish statistics.
@@ -160,6 +179,12 @@ pub struct PublishStats {
     pub memos_carried: u64,
     /// Memoized selects invalidated, cumulative.
     pub memos_invalidated: u64,
+    /// [`EpochBuildStats::member_lists_rewritten`], cumulative.
+    pub member_lists_rewritten: u64,
+    /// [`EpochBuildStats::reverse_links_rewritten`], cumulative.
+    pub reverse_links_rewritten: u64,
+    /// [`EpochBuildStats::csr_rows_written`], cumulative.
+    pub csr_rows_written: u64,
     /// Breakdown of the most recent publish.
     pub last: EpochBuildStats,
     /// Ring buffer of recent publish latencies in microseconds.
@@ -186,6 +211,9 @@ impl PublishStats {
         }
         self.memos_carried += build.memos_carried;
         self.memos_invalidated += build.memos_invalidated;
+        self.member_lists_rewritten += build.member_lists_rewritten;
+        self.reverse_links_rewritten += build.reverse_links_rewritten;
+        self.csr_rows_written += build.csr_rows_written;
         self.last = build;
         if self.latencies.len() < LATENCY_RING_CAP {
             self.latencies.push(build.publish_micros);
@@ -511,9 +539,9 @@ pub struct RepositoryWriter {
     /// The pending batch outgrew [`UPDATE_LOG_CAP`]; its log was dropped
     /// and the next publish falls back to the full repository copy.
     pending_log_overflow: bool,
-    /// Per-epoch publish records (dirty slots + update log), newest last,
-    /// kept while a recycled or still-retired buffer might need the span
-    /// to be patched or replayed up to the current state.
+    /// Per-epoch publish records (delta + update log), newest last, kept
+    /// while a recycled or still-retired buffer might need the span to be
+    /// patched or replayed up to the current state.
     history: VecDeque<PublishRecord>,
     stats: PublishStats,
 }
@@ -546,9 +574,9 @@ struct LoggedUpdate {
 #[derive(Debug)]
 struct PublishRecord {
     epoch: u64,
-    /// Whether the epoch's delta kept the published group universe stable.
-    patchable: bool,
-    dirty_slots: Vec<(PropertyId, BucketIdx)>,
+    /// The epoch's delta: its changed users and dirty slots, and whether
+    /// it added users or shifted group ids.
+    delta: EpochDelta,
     /// The epoch's update batch; `None` when it overflowed the log cap.
     updates: Option<Vec<LoggedUpdate>>,
 }
@@ -569,7 +597,7 @@ const UPDATE_LOG_CAP: usize = 1024;
 
 /// Publish records retained for stale-buffer catch-up. Recycled buffers
 /// are at most a few epochs behind in the steady state; a buffer older
-/// than the window falls back to the full rebuild/copy paths.
+/// than the window is overwritten by a bulk copy of the previous epoch.
 const HISTORY_CAP: usize = 16;
 
 impl RepositoryWriter {
@@ -769,11 +797,13 @@ impl RepositoryWriter {
     /// changes still bumps the epoch (callers use it as a sync barrier).
     ///
     /// In [`PublishMode::Incremental`] the epoch is built from the batch's
-    /// [`EpochDelta`]: the CSR is patched in place on a recycled buffer
-    /// (falling back to a rebuild when the group universe changed shape),
-    /// the repository copy reuses a retired epoch's allocations, and
-    /// memoized selects covering no dirty group are carried forward with
-    /// their certified score lower bound.
+    /// [`EpochDelta`]: the CSR is patched from the previous epoch's on a
+    /// recycled buffer, the recycled group set and repository copy are
+    /// caught up through the deltas they missed, and memoized selects
+    /// covering no dirty group are carried forward with their certified
+    /// score lower bound — unless the epoch shifted group ids, since a
+    /// memo's coverage counts are indexed by the old ids. An epoch that
+    /// adds users rebuilds the CSR and group set.
     pub fn publish(&mut self) -> u64 {
         let started = Instant::now();
         self.epoch += 1;
@@ -794,34 +824,52 @@ impl RepositoryWriter {
         };
         let incremental = self.mode == PublishMode::Incremental;
 
-        // Group set: catch the recycled buffer up through the dirty-slot
-        // union of every epoch it is behind; fall back to the full
-        // O(edges) rebuild when the span is unpatchable or unknown.
+        // Group set: catch the recycled buffer up through the union of the
+        // deltas of every epoch it is behind. A buffer whose span the
+        // history does not cover starts over from a bulk copy of the
+        // previous epoch's set, one delta behind.
         let base_epoch = parts.epoch;
-        let groups_union = if incremental {
-            base_epoch.and_then(|e| self.dirty_union_since(e, &delta))
+        let span = if incremental && delta.users_added() == 0 {
+            match base_epoch.and_then(|e| self.span_since(e, &delta)) {
+                Some(span) if self.inc.patch_groups_into(&span, &mut parts.groups) => Some(span),
+                _ => {
+                    parts.groups.clone_from(prev.groups());
+                    let caught_up = self.inc.patch_groups_into(&delta, &mut parts.groups);
+                    caught_up.then(|| delta.clone())
+                }
+            }
         } else {
             None
         };
-        build.groups_patched = groups_union
-            .as_deref()
-            .is_some_and(|union| self.inc.patch_groups_into(union, &mut parts.groups));
-        if !build.groups_patched {
+        build.groups_patched = span.is_some();
+        if let Some(span) = &span {
+            build.member_lists_rewritten = count(self.inc.dirty_group_ids(span).len());
+            build.reverse_links_rewritten = count(span.changed_users().len());
+        } else {
             self.inc.snapshot_into(&mut parts.groups);
+            build.member_lists_rewritten = count(parts.groups.len());
+            build.reverse_links_rewritten = count(parts.groups.user_count());
         }
 
         let csr_started = Instant::now();
-        let patched = incremental && self.inc.patch_csr_into(&delta, prev.csr(), &mut parts.csr);
+        let patched = incremental
+            && self
+                .inc
+                .patch_csr_into(&delta, prev.csr(), prev.groups(), &mut parts.csr);
         if patched {
             build.csr_patch_micros = elapsed_micros(csr_started);
+            build.csr_rows_written = count(delta.changed_users().len());
         } else {
             self.inc.snapshot_csr_into(&mut parts.csr);
             build.full_rebuild_micros = elapsed_micros(csr_started);
+            build.csr_rows_written = count(parts.csr.user_count());
         }
         build.patched = patched;
 
         let mut carried = Vec::new();
-        if incremental && patched {
+        // A memo's coverage counts are indexed by the ids it was computed
+        // under, so nothing carries across an epoch that shifted them.
+        if incremental && patched && !delta.universe_changed() {
             let dirty = self.inc.dirty_group_ids(&delta);
             for (p, o) in prev.memo_entries() {
                 // Constrained outcomes never carry: a delta can move
@@ -870,8 +918,7 @@ impl RepositoryWriter {
         if incremental {
             self.history.push_back(PublishRecord {
                 epoch: self.epoch,
-                patchable: delta.patchable(),
-                dirty_slots: delta.dirty_slots().to_vec(),
+                delta,
                 updates: batch_log,
             });
             if self.history.len() > HISTORY_CAP {
@@ -898,38 +945,34 @@ impl RepositoryWriter {
         self.epoch
     }
 
-    /// The ascending, deduplicated dirty-slot union of every epoch in
-    /// `(base_epoch, current)` plus the current `delta` — `None` when the
-    /// history does not contiguously cover the span or any epoch in it
-    /// (including the current one) changed the group universe.
-    fn dirty_union_since(
+    /// The publish records of epochs `(base_epoch, current)`, oldest
+    /// first; `None` when the history does not cover that span
+    /// contiguously.
+    fn records_since(
         &self,
         base_epoch: u64,
-        delta: &EpochDelta,
-    ) -> Option<Vec<(PropertyId, BucketIdx)>> {
-        if !delta.patchable() {
-            return None;
+    ) -> Option<std::collections::vec_deque::Iter<'_, PublishRecord>> {
+        let first = base_epoch.checked_add(1)?;
+        let missed = usize::try_from(self.epoch.checked_sub(first)?).ok()?;
+        let records = self
+            .history
+            .range(self.history.len().checked_sub(missed)?..);
+        records
+            .clone()
+            .zip(first..)
+            .all(|(rec, epoch)| rec.epoch == epoch)
+            .then_some(records)
+    }
+
+    /// The union of every delta since `base_epoch`: the recorded ones of
+    /// `(base_epoch, current)` and the current `delta`. `None` when the
+    /// history does not cover the span.
+    fn span_since(&self, base_epoch: u64, delta: &EpochDelta) -> Option<EpochDelta> {
+        let mut span = delta.clone();
+        for rec in self.records_since(base_epoch)? {
+            span.absorb(&rec.delta);
         }
-        let mut union: Vec<(PropertyId, BucketIdx)> = delta.dirty_slots().to_vec();
-        // `self.epoch` is already the epoch being published; walk the
-        // records of `base_epoch + 1 ..= self.epoch - 1`, newest first.
-        let mut expected = self.epoch.checked_sub(1)?;
-        for rec in self.history.iter().rev() {
-            if expected == base_epoch {
-                break;
-            }
-            if rec.epoch != expected || !rec.patchable {
-                return None;
-            }
-            union.extend_from_slice(&rec.dirty_slots);
-            expected = expected.checked_sub(1)?;
-        }
-        if expected != base_epoch {
-            return None;
-        }
-        union.sort_unstable();
-        union.dedup();
-        Some(union)
+        Some(span)
     }
 
     /// Replays the logged update batches of `(base_epoch, current]` onto
@@ -943,33 +986,16 @@ impl RepositoryWriter {
         batch: Option<&[LoggedUpdate]>,
         target: &mut UserRepository,
     ) -> bool {
-        let Some(batch) = batch else {
+        let (Some(batch), Some(records)) = (batch, self.records_since(base_epoch)) else {
             return false;
         };
-        let mut span: Vec<&[LoggedUpdate]> = Vec::new();
-        let Some(mut expected) = self.epoch.checked_sub(1) else {
+        let Some(span) = records
+            .map(|rec| rec.updates.as_deref())
+            .collect::<Option<Vec<&[LoggedUpdate]>>>()
+        else {
             return false;
         };
-        for rec in self.history.iter().rev() {
-            if expected == base_epoch {
-                break;
-            }
-            let Some(updates) = rec.updates.as_deref() else {
-                return false;
-            };
-            if rec.epoch != expected {
-                return false;
-            }
-            span.push(updates);
-            let Some(next) = expected.checked_sub(1) else {
-                return false;
-            };
-            expected = next;
-        }
-        if expected != base_epoch {
-            return false;
-        }
-        for updates in span.into_iter().rev() {
+        for updates in span {
             replay_updates(updates, target);
         }
         replay_updates(batch, target);
@@ -1016,6 +1042,11 @@ impl RepositoryWriter {
         }
         self.retired = still_referenced;
     }
+}
+
+/// A work count as a `u64` stats counter.
+fn count(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
 }
 
 /// Replays one logged batch onto a repository copy. Every operation
@@ -1130,6 +1161,81 @@ mod tests {
         }
         let build = w.publish_stats().last;
         assert!(build.patched && build.groups_patched && build.repo_replayed);
+    }
+
+    /// The publish work counters of a steady-state bucket move: Bob
+    /// oscillates between the low and high Mexican buckets, each of which
+    /// keeps two other members (Alice and Carol, Eve and Frank), and no
+    /// reader holds a snapshot. A catch-up rewrites only the changed
+    /// users' reverse-link rows and the dirty groups' member lists, not
+    /// every member of both slots.
+    #[test]
+    fn steady_state_publishes_count_only_the_delta() {
+        let (_store, mut w) = writer();
+        let publishes = 8u64;
+        for i in 0..publishes {
+            w.apply(&ProfileUpdate {
+                user: "Bob".into(),
+                property: "avgRating Mexican".into(),
+                score: Some(if i % 2 == 0 { 0.9 } else { 0.2 }),
+            })
+            .unwrap();
+            w.publish();
+            let build = w.publish_stats().last;
+            assert!(build.patched && build.groups_patched, "publish {i}");
+            // The first publish has no recycled repository copy to replay.
+            assert_eq!(build.repo_replayed, i > 0, "publish {i}");
+            // Whatever the recycled buffer's lag, Bob is the span's only
+            // changed user and its dirty groups are his two buckets.
+            assert_eq!(build.reverse_links_rewritten, 1, "publish {i}");
+            assert_eq!(build.member_lists_rewritten, 2, "publish {i}");
+            assert_eq!(build.csr_rows_written, 1, "publish {i}");
+        }
+        let stats = w.publish_stats();
+        assert_eq!(stats.reverse_links_rewritten, publishes);
+        assert_eq!(stats.member_lists_rewritten, 2 * publishes);
+        assert_eq!(stats.csr_rows_written, publishes);
+    }
+
+    /// Nothing carries across an epoch that shifts group ids: a memo's
+    /// coverage counts are indexed by the ids it was computed under.
+    /// David alone holds the middle Mexican bucket, so moving him empties
+    /// it (every later id shifts down) and moving him back fills it.
+    #[test]
+    fn memos_never_carry_across_an_id_shift() {
+        let repo = sample_repo();
+        let buckets = BucketingConfig::paper_default().bucketize(&repo);
+        let (store, mut w) =
+            RepositoryWriter::with_mode(repo.clone(), &buckets, PublishMode::Incremental);
+        let (s_full, mut w_full) =
+            RepositoryWriter::with_mode(repo, &buckets, PublishMode::FullRebuild);
+        for (score, groups) in [(0.9, 3), (0.5, 4)] {
+            let before = store.load().select(&params1(), None).unwrap();
+            assert!(!before.stale);
+            let update = ProfileUpdate {
+                user: "David".into(),
+                property: "avgRating Mexican".into(),
+                score: Some(score),
+            };
+            w.apply(&update).unwrap();
+            w_full.apply(&update).unwrap();
+            w.publish();
+            w_full.publish();
+            let snap = store.load();
+            assert_eq!(snap.groups().len(), groups, "the slot emptied or filled");
+            let build = w.publish_stats().last;
+            assert!(build.patched, "an id shift is patched, not rebuilt");
+            assert_eq!((build.memos_carried, build.memos_invalidated), (0, 1));
+            let served = snap.serve(&params1(), None, None, true).unwrap();
+            assert!(
+                !served.stale && !served.cache_hit,
+                "recomputed, not carried"
+            );
+            assert_eq!(served.epoch, snap.epoch());
+            let reference = s_full.load().select(&params1(), None).unwrap();
+            assert_eq!(served.selection, reference.selection);
+            assert_eq!(served.names, reference.names);
+        }
     }
 
     /// `validate` must agree with `apply` on every failure mode, or the

@@ -11,17 +11,25 @@
 //!   patterns produced by the same arithmetic).
 //!
 //! The generator drives the writer through every delta shape: same-bucket
-//! tweaks, bucket moves, retractions, brand-new users (unpatchable
-//! deltas), empty-delta publishes (consecutive publish points), and
-//! full-churn batches that touch every user. Deterministic companions
-//! below pin the two riskiest regimes — long runs of consecutive
-//! patchable publishes, and every-user churn.
+//! tweaks, bucket moves, retractions, slots that empty or fill (deltas
+//! that shift group ids), brand-new users (the one delta that rebuilds),
+//! empty-delta publishes (consecutive publish points), full-churn batches
+//! that touch every user, and readers that hold a snapshot across several
+//! publishes, so recycled buffers come back several epochs stale.
+//! Deterministic companions below pin the riskiest regimes — long runs of
+//! consecutive one-user publishes, every-user churn, and a slot whose
+//! only member moves every epoch, so every delta shifts ids.
 
 use podium_core::bucket::BucketingConfig;
 use podium_core::ids::UserId;
 use podium_core::profile::UserRepository;
 use podium_core::weights::{CovScheme, WeightScheme};
-use podium_service::snapshot::{ProfileUpdate, PublishMode, RepositoryWriter, SelectParams};
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use podium_service::snapshot::{
+    ProfileUpdate, PublishMode, RepositoryWriter, SelectParams, Snapshot,
+};
 use proptest::prelude::*;
 
 const PROPERTIES: [&str; 2] = ["avgRating Mexican", "livesIn Tokyo"];
@@ -62,6 +70,9 @@ struct Op {
     score: Option<u8>,
     /// Publish both writers after applying this op.
     publish_after: bool,
+    /// Hold the published snapshot for this many further publishes, as a
+    /// reader mid-select or a pinned session does.
+    hold: u8,
 }
 
 fn op_strategy(universe: usize) -> impl Strategy<Value = Op> {
@@ -70,12 +81,15 @@ fn op_strategy(universe: usize) -> impl Strategy<Value = Op> {
         0..PROPERTIES.len(),
         prop::option::of(0u8..=101),
         any::<bool>(),
+        0u8..12,
     )
-        .prop_map(|(user, property, score, publish_after)| Op {
+        .prop_map(|(user, property, score, publish_after, hold)| Op {
             user,
             property,
             score,
             publish_after,
+            // Two ops in three hold nothing; the rest hold 1–4 publishes.
+            hold: hold.saturating_sub(7),
         })
 }
 
@@ -134,6 +148,22 @@ fn assert_epochs_match(
     }
 }
 
+/// Publishes both writers and asserts the incremental one rebuilt nothing
+/// unless the epoch added users.
+fn publish_both(w_inc: &mut RepositoryWriter, w_full: &mut RepositoryWriter, added_users: bool) {
+    w_inc.publish();
+    w_full.publish();
+    let build = w_inc.publish_stats().last;
+    assert_eq!(
+        build.patched, !added_users,
+        "CSR rebuilt only when users join"
+    );
+    assert_eq!(
+        build.groups_patched, !added_users,
+        "group set rebuilt only when users join"
+    );
+}
+
 /// Replays `ops` through an incremental and a full-rebuild writer,
 /// asserting equivalence at every publish point.
 fn replay(n: usize, grids: &[u8], ops: &[Op]) {
@@ -145,6 +175,9 @@ fn replay(n: usize, grids: &[u8], ops: &[Op]) {
         RepositoryWriter::with_mode(repo, &buckets, PublishMode::FullRebuild);
     assert_epochs_match(&s_inc, &s_full, n, "epoch 0");
     let mut user_count = n;
+    let mut added_users = false;
+    // Snapshots readers still hold, with the publishes left to hold them.
+    let mut held: VecDeque<(Arc<Snapshot>, u8)> = VecDeque::new();
     for (i, op) in ops.iter().enumerate() {
         let user = op.user.min(user_count); // at most one past the end
         let is_new = user >= user_count;
@@ -167,17 +200,21 @@ fn replay(n: usize, grids: &[u8], ops: &[Op]) {
         );
         if r_inc.is_ok() && is_new {
             user_count += 1;
+            added_users = true;
         }
         if op.publish_after {
-            // Both an update-carrying publish and, immediately after, an
-            // empty-delta publish (epoch bump with no pending changes).
-            w_inc.publish();
-            w_full.publish();
+            publish_both(&mut w_inc, &mut w_full, std::mem::take(&mut added_users));
             assert_epochs_match(&s_inc, &s_full, user_count, &format!("op {i}"));
+            held.retain_mut(|(_, left)| {
+                *left -= 1;
+                *left > 0
+            });
+            if op.hold > 0 {
+                held.push_back((s_inc.load(), op.hold));
+            }
         }
     }
-    w_inc.publish();
-    w_full.publish();
+    publish_both(&mut w_inc, &mut w_full, added_users);
     assert_epochs_match(&s_inc, &s_full, user_count, "final publish");
 }
 
@@ -205,6 +242,7 @@ fn full_churn_batches_stay_equivalent() {
             property: i % PROPERTIES.len(),
             score: Some((7 * i % 102) as u8),
             publish_after: i % 8 == 7,
+            hold: 0,
         })
         .collect();
     replay(8, &[13, 0, 47, 66, 91, 25, 58, 80], &ops);
@@ -221,7 +259,34 @@ fn long_patchable_runs_stay_equivalent() {
             property: 0,
             score: Some((11 + 29 * i % 90) as u8),
             publish_after: true,
+            hold: if i % 5 == 0 { 3 } else { 0 },
         })
         .collect();
     replay(6, &[40, 90, 50, 90, 60, 90, 10, 90, 20, 90, 70, 90], &ops);
+}
+
+/// Every delta shifts group ids: user 0 starts unrated for Mexican food,
+/// everyone else rates it high, and user 0 moves into the low and middle
+/// buckets, between them and out of the property, one move per epoch, so
+/// each move empties or fills a slot.
+/// Readers hold snapshots across publishes, so recycled group sets catch
+/// up across several id shifts at once, and a hold past the publish
+/// history forces the copy fallback.
+#[test]
+fn every_epoch_shifting_ids_stays_equivalent() {
+    let ops: Vec<Op> = (0..48)
+        .map(|i| Op {
+            user: 0,
+            property: 0,
+            score: [Some(20), Some(50), None, Some(30), None, Some(60)][i % 6],
+            publish_after: true,
+            hold: match i % 12 {
+                0 => 2,
+                5 => 4,
+                9 => 1,
+                _ => 0,
+            } + if i == 20 { 20 } else { 0 },
+        })
+        .collect();
+    replay(5, &[0, 70, 80, 90, 75, 85, 95, 66, 88, 77], &ops);
 }

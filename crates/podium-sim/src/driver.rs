@@ -107,12 +107,16 @@ mod streams {
 
 /// The `stats` response fields an observer row copies into the request
 /// log, so the dashboard reads service counters from the log alone.
-const STATS_COUNTERS: [&str; 6] = [
+const STATS_COUNTERS: [&str; 10] = [
     "cache_hits",
     "cache_misses",
     "publishes",
+    "patched_publishes",
     "publish_p50_micros",
     "publish_p99_micros",
+    "member_lists_rewritten",
+    "reverse_links_rewritten",
+    "csr_rows_written",
     "queue_depth",
 ];
 

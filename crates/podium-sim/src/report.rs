@@ -424,8 +424,18 @@ pub(crate) fn sim_section(streams: &[JsonlStream], human: &mut String) -> Option
         ("cache_misses", num_u64(cache_misses)),
         ("cache_hit_rate", num_f64(cache_hit_rate)),
         ("publishes", num_u64(counter("publishes"))),
+        ("patched_publishes", num_u64(counter("patched_publishes"))),
         ("publish_p50_us", num_u64(counter("publish_p50_micros"))),
         ("publish_p99_us", num_u64(counter("publish_p99_micros"))),
+        (
+            "member_lists_rewritten",
+            num_u64(counter("member_lists_rewritten")),
+        ),
+        (
+            "reverse_links_rewritten",
+            num_u64(counter("reverse_links_rewritten")),
+        ),
+        ("csr_rows_written", num_u64(counter("csr_rows_written"))),
         ("queue_depth_max", num_u64(queue_depth_max)),
         ("wal_bytes", num_u64(durable("wal_bytes"))),
         (
@@ -457,7 +467,7 @@ mod tests {
             concat!(
                 "{\"schema\":\"podium.sim-requests/1\",\"seq\":0,\"vt_us\":0,\"op\":\"stats\",\"outcome\":\"ok\",\"latency_us\":20,\"epoch\":0,\"cache_hits\":1,\"cache_misses\":1,\"publishes\":0,\"publish_p50_micros\":0,\"publish_p99_micros\":0,\"queue_depth\":3}\n",
                 "{\"schema\":\"podium.sim-requests/1\",\"seq\":1,\"vt_us\":500000,\"op\":\"update-profile\",\"outcome\":\"ok\",\"latency_us\":400,\"epoch\":1}\n",
-                "{\"schema\":\"podium.sim-requests/1\",\"seq\":2,\"vt_us\":900000,\"op\":\"stats\",\"outcome\":\"ok\",\"latency_us\":20,\"epoch\":1,\"cache_hits\":30,\"cache_misses\":10,\"publishes\":1,\"publish_p50_micros\":6,\"publish_p99_micros\":11,\"queue_depth\":1}\n",
+                "{\"schema\":\"podium.sim-requests/1\",\"seq\":2,\"vt_us\":900000,\"op\":\"stats\",\"outcome\":\"ok\",\"latency_us\":20,\"epoch\":1,\"cache_hits\":30,\"cache_misses\":10,\"publishes\":1,\"patched_publishes\":1,\"publish_p50_micros\":6,\"publish_p99_micros\":11,\"member_lists_rewritten\":2,\"reverse_links_rewritten\":1,\"csr_rows_written\":1,\"queue_depth\":1}\n",
                 "{\"schema\":\"podium.sim-requests/1\",\"seq\":3,\"vt_us\":0,\"op\":\"select\",\"outcome\":\"ok\",\"latency_us\":100,\"epoch\":0,\"client\":0}\n",
                 "{\"schema\":\"podium.sim-requests/1\",\"seq\":4,\"vt_us\":100,\"op\":\"select\",\"outcome\":\"ok\",\"latency_us\":300,\"epoch\":1,\"client\":0}\n",
                 "{\"schema\":\"podium.sim-requests/1\",\"seq\":5,\"vt_us\":400,\"op\":\"select\",\"outcome\":\"overloaded\",\"latency_us\":5,\"client\":0}\n",
@@ -505,6 +515,15 @@ mod tests {
         assert_eq!(num("cache_hit_rate"), 0.75);
         assert_eq!((num("publishes"), num("publish_p50_us")), (1.0, 6.0));
         assert_eq!(num("publish_p99_us"), 11.0);
+        assert_eq!(num("patched_publishes"), 1.0);
+        assert_eq!(
+            (
+                num("member_lists_rewritten"),
+                num("reverse_links_rewritten"),
+                num("csr_rows_written")
+            ),
+            (2.0, 1.0, 1.0)
+        );
         assert_eq!(num("queue_depth_max"), 3.0);
         // Durability from the recovery row.
         assert_eq!(num("wal_bytes"), 4096.0);
