@@ -13,8 +13,8 @@
 
 use podium_bench::opinion_exp::OpinionConfig;
 use podium_bench::{
-    approx_exp, budget_exp, custom_exp, datasets, intrinsic_exp, opinion_exp, scalability_exp,
-    table2_exp,
+    approx_exp, budget_exp, custom_exp, datasets, engine_exp, intrinsic_exp, opinion_exp,
+    scalability_exp, table2_exp,
 };
 
 use podium_bench::harness::{run_isolated, ExperimentStatus};
@@ -126,6 +126,18 @@ fn usage(msg: &str) -> ! {
 
 fn header(title: &str) {
     println!("\n==== {title} ====");
+}
+
+/// Writes a checked-in artifact into the current directory; a failed
+/// serialization or write is reported, not fatal.
+fn write_artifact(name: &str, text: serde_json::Result<String>) {
+    let written = text
+        .map_err(|e| e.to_string())
+        .and_then(|text| std::fs::write(name, text).map_err(|e| e.to_string()));
+    match written {
+        Ok(()) => println!("wrote {name}"),
+        Err(e) => println!("could not write {name}: {e}"),
+    }
 }
 
 /// Prints paired-bootstrap significance of Podium vs. each competitor on
@@ -399,13 +411,10 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
             let r2 = scalability_exp::linear_r2(&x, &y);
             println!("podium linearity R\u{b2} = {r2:.4}");
             // The checked-in artifact: the numbers EXPERIMENTS.md cites.
-            let written = scalability_exp::bench16_json(&rows, r2, args.budget, args.seed)
-                .map_err(|e| e.to_string())
-                .and_then(|text| std::fs::write("BENCH_16.json", text).map_err(|e| e.to_string()));
-            match written {
-                Ok(()) => println!("wrote BENCH_16.json"),
-                Err(e) => println!("could not write BENCH_16.json: {e}"),
-            }
+            write_artifact(
+                "BENCH_16.json",
+                scalability_exp::bench16_json(&rows, r2, args.budget, args.seed),
+            );
         }
         "fig6" => {
             header("Figure 6: execution time vs profile size (|U| fixed)");
@@ -452,11 +461,10 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
             let cells = podium_bench::serving_exp::run_drift(args.scale, args.seed);
             print!("{}", podium_bench::serving_exp::render_drift(&cells));
             // The checked-in artifact: measured numbers for this PR.
-            let artifact = podium_bench::serving_exp::bench6_json(&cells);
-            match std::fs::write("BENCH_6.json", &artifact) {
-                Ok(()) => println!("wrote BENCH_6.json"),
-                Err(e) => println!("could not write BENCH_6.json: {e}"),
-            }
+            write_artifact(
+                "BENCH_6.json",
+                podium_bench::serving_exp::bench6_json(&cells),
+            );
             for cell in &cells {
                 assert_eq!(cell.count("failed"), 0, "no failed responses under drift");
                 assert_eq!(cell.count("inconsistent"), 0, "no inconsistent responses");
@@ -465,15 +473,13 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
         }
         "constrained" => {
             header("Constrained: quota-constrained greedy vs time-matched annealing");
-            let report =
-                podium_bench::constrained_exp::run(args.scale, args.budget, args.seed);
+            let report = podium_bench::constrained_exp::run(args.scale, args.budget, args.seed);
             print!("{}", podium_bench::constrained_exp::render(&report));
             // The checked-in artifact: measured numbers for this PR.
-            let artifact = podium_bench::constrained_exp::bench9_json(&report);
-            match std::fs::write("BENCH_9.json", &artifact) {
-                Ok(()) => println!("wrote BENCH_9.json"),
-                Err(e) => println!("could not write BENCH_9.json: {e}"),
-            }
+            write_artifact(
+                "BENCH_9.json",
+                podium_bench::constrained_exp::bench9_json(&report),
+            );
             assert!(
                 report.rows.iter().any(|r| r.feasible),
                 "at least one quota mix must be feasible"
@@ -635,11 +641,9 @@ fn run_ablation(scale: f64, budget: usize, seed: u64) {
     };
     for (name, strategy) in [("eager", eager), ("lazy (CELF)", Strategy::Lazy)] {
         let selector = PodiumSelector::paper_default().with_strategy(strategy);
-        let t0 = std::time::Instant::now();
         let sel = podium_baselines::selector::Selector::select(&selector, repo, budget);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
         let score = eval.score_of(&sel);
-        println!("  {name:>16}: score {score:>10.1} in {ms:.1} ms");
+        println!("  {name:>16}: score {score:>10.1}");
     }
     for eps in [0.2, 0.05] {
         let t0 = std::time::Instant::now();
@@ -650,6 +654,13 @@ fn run_ablation(scale: f64, budget: usize, seed: u64) {
         let score = eval.score_of(&sel.users);
         println!("  stochastic ε={eps:<4}: score {score:>10.1} in {ms:.1} ms");
     }
+    // Which exact loop is faster, on prebuilt CSRs: the checked-in artifact.
+    let rows = engine_exp::run(scale, seed);
+    print!("{}", engine_exp::render(&rows));
+    write_artifact(
+        "BENCH_20.json",
+        engine_exp::bench20_json(&rows, scale, seed),
+    );
 
     // Randomized weights (§10 future work): selection diversity under noise.
     println!("\nnoisy LBS weights (§10, amplitude sweep, 5 seeds each):");

@@ -74,10 +74,7 @@ pub struct ConstrainedReport {
 /// The quota mixes swept, from least to most binding: floors pull small
 /// groups into the slate, ceilings cap how much of it the biggest
 /// groups may occupy.
-fn quota_mixes(
-    by_size: &[(u32, usize)],
-    budget: usize,
-) -> Vec<(&'static str, Vec<Quota>)> {
+fn quota_mixes(by_size: &[(u32, usize)], budget: usize) -> Vec<(&'static str, Vec<Quota>)> {
     let floor = |group: u32| Quota {
         group,
         min: QuotaBound::Count(1),
@@ -242,7 +239,14 @@ pub fn render(report: &ConstrainedReport) -> String {
     let _ = writeln!(
         out,
         "{:>8} {:>7} {:>13} {:>10} {:>13} {:>10} {:>9} {:>8}",
-        "quotas", "groups", "greedy score", "greedy ms", "anneal score", "anneal ms", "steps", "gain"
+        "quotas",
+        "groups",
+        "greedy score",
+        "greedy ms",
+        "anneal score",
+        "anneal ms",
+        "steps",
+        "gain"
     );
     for r in &report.rows {
         if r.feasible {
@@ -281,13 +285,16 @@ fn row_value(r: &ConstrainedRow) -> Value {
         ("greedy_ms".to_owned(), num_f64(r.greedy_ms)),
         ("anneal_score".to_owned(), num_f64(r.anneal_score)),
         ("anneal_ms".to_owned(), num_f64(r.anneal_ms)),
-        ("anneal_steps".to_owned(), num_u64(u64::from(r.anneal_steps))),
+        (
+            "anneal_steps".to_owned(),
+            num_u64(u64::from(r.anneal_steps)),
+        ),
         ("improvement_pct".to_owned(), num_f64(r.improvement_pct)),
     ])
 }
 
 /// Serializes the sweep as the `BENCH_9.json` artifact.
-pub fn bench9_json(report: &ConstrainedReport) -> String {
+pub fn bench9_json(report: &ConstrainedReport) -> serde_json::Result<String> {
     let doc = Value::Object(vec![
         ("bench".to_owned(), Value::String("constrained".to_owned())),
         (
@@ -303,7 +310,7 @@ pub fn bench9_json(report: &ConstrainedReport) -> String {
             Value::Array(report.rows.iter().map(row_value).collect()),
         ),
     ]);
-    serde_json::to_string_pretty(&doc).expect("artifact serialization is infallible")
+    serde_json::to_string_pretty(&doc)
 }
 
 /// The status-row `details`: one line, greppable for the per-tightness
@@ -375,8 +382,11 @@ mod tests {
                 },
             ],
         };
-        let doc: Value = serde_json::from_str(&bench9_json(&report)).unwrap();
-        assert_eq!(doc.get("bench").and_then(Value::as_str), Some("constrained"));
+        let doc: Value = serde_json::from_str(&bench9_json(&report).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("bench").and_then(Value::as_str),
+            Some("constrained")
+        );
         assert_eq!(
             doc.get("schema").and_then(Value::as_str),
             Some("podium.bench-constrained/1")

@@ -14,6 +14,7 @@ pub mod budget_exp;
 pub mod constrained_exp;
 pub mod custom_exp;
 pub mod datasets;
+pub mod engine_exp;
 pub mod harness;
 pub mod intrinsic_exp;
 pub mod opinion_exp;

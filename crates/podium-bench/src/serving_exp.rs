@@ -200,7 +200,7 @@ fn point(cell: &DriftCell) -> Value {
 
 /// Serializes the drift matrix as the `BENCH_6.json` artifact: one row
 /// per cell plus the per-rate publish-latency speedups.
-pub fn bench6_json(cells: &[DriftCell]) -> String {
+pub fn bench6_json(cells: &[DriftCell]) -> serde_json::Result<String> {
     let speedups: Vec<Value> = DRIFT_RATES
         .iter()
         .filter_map(|&hz| {
@@ -224,7 +224,7 @@ pub fn bench6_json(cells: &[DriftCell]) -> String {
         ),
         ("publish_speedups".to_owned(), Value::Array(speedups)),
     ]);
-    serde_json::to_string_pretty(&doc).expect("artifact serialization is infallible")
+    serde_json::to_string_pretty(&doc)
 }
 
 /// The status-row `details` for the drift matrix: the `BENCH_6.json`
@@ -294,7 +294,7 @@ mod tests {
         let table = render_drift(&cells);
         assert!(table.contains("full_rebuild"), "{table}");
         assert!(table.contains("incremental"), "{table}");
-        let artifact = bench6_json(&cells);
+        let artifact = bench6_json(&cells).unwrap();
         let doc: Value = serde_json::from_str(&artifact).unwrap();
         assert_eq!(doc.get("bench").and_then(Value::as_str), Some("drift"));
         let points = doc.get("points").and_then(Value::as_array).unwrap();

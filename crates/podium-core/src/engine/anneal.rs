@@ -256,7 +256,13 @@ mod tests {
     fn replay_reproduces_greedy_output_bitwise() {
         let g = groups_from(
             9,
-            &[&[0, 1, 2], &[2, 3, 4], &[5, 6], &[0, 6, 7, 8], &[1, 3, 5, 7]],
+            &[
+                &[0, 1, 2],
+                &[2, 3, 4],
+                &[5, 6],
+                &[0, 6, 7, 8],
+                &[1, 3, 5, 7],
+            ],
         );
         let inst = DiversificationInstance::from_schemes(
             &g,
@@ -305,7 +311,12 @@ mod tests {
             let a = anneal_refine(&inst, &csr, &quotas, &greedy, &schedule(seed));
             let b = anneal_refine(&inst, &csr, &quotas, &greedy, &schedule(seed));
             assert_eq!(a, b, "seed {seed} must be deterministic");
-            assert!(a.score >= greedy.score, "seed {seed}: {} < {}", a.score, greedy.score);
+            assert!(
+                a.score >= greedy.score,
+                "seed {seed}: {} < {}",
+                a.score,
+                greedy.score
+            );
             assert!(quotas.satisfied_by(&a.covered_counts), "seed {seed}");
             assert_eq!(a.users.len(), greedy.users.len(), "swaps preserve size");
         }

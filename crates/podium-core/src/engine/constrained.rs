@@ -117,7 +117,11 @@ pub enum QuotaError {
 impl std::fmt::Display for QuotaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QuotaError::RatioOutOfRange { group, bound, ratio } => write!(
+            QuotaError::RatioOutOfRange {
+                group,
+                bound,
+                ratio,
+            } => write!(
                 f,
                 "quota for group {group}: {bound} ratio {ratio} is outside [0, 1]"
             ),
@@ -136,10 +140,9 @@ impl std::fmt::Display for QuotaError {
                 f,
                 "quota for group {group}: resolved min {min} exceeds the budget {budget}"
             ),
-            QuotaError::TooManyQuotas { count, limit } => write!(
-                f,
-                "{count} quota'd groups exceed the limit of {limit}"
-            ),
+            QuotaError::TooManyQuotas { count, limit } => {
+                write!(f, "{count} quota'd groups exceed the limit of {limit}")
+            }
         }
     }
 }
@@ -315,7 +318,11 @@ fn resolve_ceiling(group: u32, bound: QuotaBound, budget: usize) -> Result<u32, 
 
 fn check_ratio(group: u32, bound: &'static str, ratio: f64) -> Result<(), QuotaError> {
     if !ratio.is_finite() || !(0.0..=1.0).contains(&ratio) {
-        return Err(QuotaError::RatioOutOfRange { group, bound, ratio });
+        return Err(QuotaError::RatioOutOfRange {
+            group,
+            bound,
+            ratio,
+        });
     }
     Ok(())
 }
@@ -451,7 +458,14 @@ impl Oracle {
                     next_adds[i] += c;
                 }
             }
-            if self.search(avail, idx + 1, budget - c, &next_needs, headroom, &next_adds) {
+            if self.search(
+                avail,
+                idx + 1,
+                budget - c,
+                &next_needs,
+                headroom,
+                &next_adds,
+            ) {
                 ok = true;
                 break;
             }
@@ -665,21 +679,39 @@ mod tests {
         );
         assert!(matches!(
             ratio_oob,
-            Err(QuotaError::RatioOutOfRange { group: 0, bound: "min", .. })
+            Err(QuotaError::RatioOutOfRange {
+                group: 0,
+                bound: "min",
+                ..
+            })
         ));
         let unknown = QuotaSet::build(vec![count(9, 1, None)], 3, 4);
-        assert!(matches!(unknown, Err(QuotaError::UnknownGroup { group: 9, groups: 3 })));
+        assert!(matches!(
+            unknown,
+            Err(QuotaError::UnknownGroup {
+                group: 9,
+                groups: 3
+            })
+        ));
         let dup = QuotaSet::build(vec![count(1, 0, None), count(1, 1, None)], 3, 4);
         assert!(matches!(dup, Err(QuotaError::DuplicateGroup { group: 1 })));
         let inverted = QuotaSet::build(vec![count(0, 3, Some(1))], 3, 4);
         assert!(matches!(
             inverted,
-            Err(QuotaError::EmptyWindow { group: 0, min: 3, max: 1 })
+            Err(QuotaError::EmptyWindow {
+                group: 0,
+                min: 3,
+                max: 1
+            })
         ));
         let oversized = QuotaSet::build(vec![count(0, 9, None)], 3, 4);
         assert!(matches!(
             oversized,
-            Err(QuotaError::FloorExceedsBudget { group: 0, min: 9, budget: 4 })
+            Err(QuotaError::FloorExceedsBudget {
+                group: 0,
+                min: 9,
+                budget: 4
+            })
         ));
         let too_many: Vec<Quota> = (0..(MAX_QUOTA_GROUPS as u32 + 1))
             .map(|g| count(g, 0, Some(2)))

@@ -98,10 +98,7 @@ impl Clone for GroupSet {
     fn clone_from(&mut self, source: &Self) {
         self.groups.clone_from(&source.groups);
         self.user_groups.clone_from(&source.user_groups);
-        // Sets of one publisher share their bucketing: compare, not clone.
-        if self.buckets != source.buckets {
-            self.buckets.clone_from(&source.buckets);
-        }
+        self.copy_buckets_from(&source.buckets);
     }
 }
 
@@ -153,7 +150,7 @@ impl GroupSet {
         triples: impl Iterator<Item = (PropertyId, BucketIdx, &'m [UserId])>,
         buckets: &PropertyBuckets,
     ) {
-        self.buckets.clone_from(buckets);
+        self.copy_buckets_from(buckets);
         self.user_groups.truncate(user_count);
         for links in &mut self.user_groups {
             links.clear();
@@ -180,6 +177,15 @@ impl GroupSet {
             count += 1;
         }
         self.groups.truncate(count);
+    }
+
+    /// Copies `buckets` into `self` unless they are already equal. Sets of
+    /// one publisher share their bucketing, so a compare replaces a copy
+    /// that allocates once per property and bucket label.
+    fn copy_buckets_from(&mut self, buckets: &PropertyBuckets) {
+        if self.buckets != *buckets {
+            self.buckets.clone_from(buckets);
+        }
     }
 
     /// Patches `self` — a set of simple groups materialized from an
@@ -715,6 +721,18 @@ mod tests {
         let pruned = groups.prune(0, Some(1));
         assert_eq!(pruned.len(), 1);
         assert_eq!(pruned.group(GroupId(0)).unwrap().size(), 3, "largest kept");
+    }
+
+    #[test]
+    fn reassigning_equal_buckets_keeps_their_allocation() {
+        let (repo, mut groups) = table2_like();
+        let buckets = BucketingConfig::paper_default().bucketize(&repo);
+        let p0 = PropertyId(0);
+        let before = std::ptr::from_ref(groups.buckets.of(p0));
+        let slots = slot_members(&repo.property_columns(), &buckets, &|_| true);
+        groups.assign_simple_memberships(repo.user_count(), non_empty_slots(&slots), &buckets);
+        assert_eq!(std::ptr::from_ref(groups.buckets.of(p0)), before);
+        assert_eq!(groups.len(), 3);
     }
 
     #[test]

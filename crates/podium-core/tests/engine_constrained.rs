@@ -63,11 +63,7 @@ fn schemes(bits: u8) -> (WeightScheme, CovScheme) {
 /// modulo the group count and deduplicated, floors stay within the
 /// budget, ceilings at or above their floor — so `build` always
 /// succeeds and every case exercises the selector, not the validator.
-fn build_quotas(
-    raw: &[(u8, u8, u8, bool)],
-    group_count: usize,
-    budget: usize,
-) -> QuotaSet {
+fn build_quotas(raw: &[(u8, u8, u8, bool)], group_count: usize, budget: usize) -> QuotaSet {
     let mut quotas: Vec<Quota> = Vec::new();
     for &(group, min, max_extra, bounded) in raw {
         let group = (group as usize % group_count) as u32;

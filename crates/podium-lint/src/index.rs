@@ -168,7 +168,8 @@ fn first_generic_arg(ty: &str) -> Option<&str> {
 
 /// Smart-pointer / cell wrappers that forward method calls and field
 /// reads to their first generic argument.
-const TRANSPARENT_WRAPPERS: &[&str] = &["Arc", "Rc", "Box", "RefCell", "Cell", "Pin", "ManuallyDrop"];
+const TRANSPARENT_WRAPPERS: &[&str] =
+    &["Arc", "Rc", "Box", "RefCell", "Cell", "Pin", "ManuallyDrop"];
 
 /// Unwraps transparent wrappers until a non-wrapper type remains:
 /// `Arc<RefCell<Conn>>` → `Conn`.
@@ -250,10 +251,7 @@ pub fn collect_bindings(
             // `let name: Type = …` — type text up to `=` or `;`.
             let ty_from = at + 1;
             let mut ty_to = ty_from;
-            while ty_to < body_close
-                && !scan.is_punct(ty_to, b'=')
-                && !scan.is_punct(ty_to, b';')
-            {
+            while ty_to < body_close && !scan.is_punct(ty_to, b'=') && !scan.is_punct(ty_to, b';') {
                 ty_to += 1;
             }
             let ty = crate::items::type_text(scan, ty_from, ty_to);
@@ -271,20 +269,13 @@ pub fn collect_bindings(
                     // return type, else assume the constructor returns
                     // the type itself.
                     let method = String::from_utf8_lossy(scan.text(at + 4)).into_owned();
-                    let ret = index
-                        .method_rets(&head, &method)
-                        .and_then(uniform)
-                        .cloned();
+                    let ret = index.method_rets(&head, &method).and_then(uniform).cloned();
                     match ret {
-                        Some(Some(r)) => {
-                            // `Result<Self>`-style constructors resolve
-                            // through the Ok type only when it names the
-                            // type; otherwise assume the type.
-                            if outer_segment(&r) == head || !is_result_type(&r) {
-                                out.insert(name, r);
-                            } else {
-                                out.insert(name, head);
-                            }
+                        // `Result<Self>`-style constructors resolve
+                        // through the Ok type only when it names the
+                        // type; otherwise assume the type.
+                        Some(Some(r)) if outer_segment(&r) == head || !is_result_type(&r) => {
+                            out.insert(name, r);
                         }
                         _ => {
                             out.insert(name, head);
@@ -322,13 +313,10 @@ pub fn chain_ending_at(scan: &FileScan<'_>, open_si: usize) -> Option<Vec<Seg>> 
         call: true,
         path_sep: false,
     }];
-    loop {
-        // Preceding separator: `.` or `::`.
-        let Some(prev) = si.checked_sub(1) else { break };
+    // Preceding separator: `.` or `::`.
+    while let Some(prev) = si.checked_sub(1) {
         if scan.is_punct(prev, b'.') {
-            let Some(p2) = prev.checked_sub(1) else {
-                return None;
-            };
+            let p2 = prev.checked_sub(1)?;
             if !scan.is_any_ident(p2) {
                 // `foo().bar()` / `xs[i].bar()` — receiver is an
                 // expression we do not model.
@@ -341,10 +329,7 @@ pub fn chain_ending_at(scan: &FileScan<'_>, open_si: usize) -> Option<Vec<Seg>> 
             });
             si = p2;
         } else if scan.is_punct(prev, b':') && prev >= 1 && scan.is_punct(prev - 1, b':') {
-            let p2 = match prev.checked_sub(2) {
-                Some(p) => p,
-                None => return None,
-            };
+            let p2 = prev.checked_sub(2)?;
             if !scan.is_any_ident(p2) {
                 return None;
             }
@@ -422,7 +407,13 @@ pub fn resolve_chain(
         // Chain starts with a free-fn call: `open(path).store()`.
         match index.uniform_free_fn_ret(&first.name) {
             Some(Some(ret)) => cur = Some(peel(ret).to_owned()),
-            Some(None) => return if segs.len() == 1 { Resolved::Unit } else { Resolved::Unknown },
+            Some(None) => {
+                return if segs.len() == 1 {
+                    Resolved::Unit
+                } else {
+                    Resolved::Unknown
+                }
+            }
             None => return Resolved::Unknown,
         }
     }
@@ -488,13 +479,17 @@ pub fn build<'a>(files: impl IntoIterator<Item = &'a [Item]>) -> WorkspaceIndex 
     index
 }
 
+/// A pass's per-fn callback: the item, its signature, the impl
+/// self-type, the collected bindings, and the body's scan-level span.
+pub type FnBodyVisitor<'a> = dyn FnMut(&Item, &FnSig, Option<&str>, &Bindings, usize, usize) + 'a;
+
 /// Convenience for passes: visit each fn in `items` with its scan-level
 /// body span, signature, impl self-type, and collected bindings.
 pub fn for_each_fn_body(
     scan: &FileScan<'_>,
     index: &WorkspaceIndex,
     items: &[Item],
-    visit: &mut dyn FnMut(&Item, &FnSig, Option<&str>, &Bindings, usize, usize),
+    visit: &mut FnBodyVisitor<'_>,
 ) {
     walk_fns(items, &mut |item, sig, self_type| {
         if let Some((open, close)) = sig.body {
@@ -601,9 +596,10 @@ mod tests {
         let open = (0..scan.sig.len())
             .find(|&si| scan.is_punct(si, b'(') && scan.is_ident(si.wrapping_sub(1), b"lock"))
             .expect("call site"); // podium-lint: allow(expect) — test fixture, token known present
-        let segs = chain_ending_at(&scan, open).expect("chain"); // podium-lint: allow(expect) — test fixture, chain known simple
+
         // Strip the trailing `.lock()` call segment — the lock pass
         // resolves the receiver, not the call.
+        let segs = chain_ending_at(&scan, open).expect("chain"); // podium-lint: allow(expect) — test fixture, chain known simple
         let recv = &segs[..segs.len() - 1];
         assert_eq!(
             resolve_field_chain(&index, Some("Hub"), &Bindings::new(), recv),

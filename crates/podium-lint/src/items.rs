@@ -220,7 +220,9 @@ fn item_keyword(scan: &FileScan<'_>, at: usize, to: usize) -> Option<(usize, Kw)
             }
             return Some((si, Kw::Other));
         }
-        if scan.is_ident(si, b"async") || scan.is_ident(si, b"unsafe") || scan.is_ident(si, b"default")
+        if scan.is_ident(si, b"async")
+            || scan.is_ident(si, b"unsafe")
+            || scan.is_ident(si, b"default")
         {
             si += 1;
             continue;
@@ -405,9 +407,7 @@ fn parse_fn(scan: &FileScan<'_>, start: usize, kw_si: usize, to: usize) -> Optio
             match text {
                 b"(" | b"[" | b"<" => depth += 1,
                 b")" | b"]" => depth = depth.saturating_sub(1),
-                b">" if !(si > 0 && scan.is_punct(si - 1, b'-')) => {
-                    depth = depth.saturating_sub(1)
-                }
+                b">" if !(si > 0 && scan.is_punct(si - 1, b'-')) => depth = depth.saturating_sub(1),
                 b"{" | b";" if depth == 0 => break,
                 b"where" if depth == 0 => break,
                 _ => {}
@@ -706,7 +706,10 @@ fn join_path(prefix: &str, segs: &[String]) -> String {
 
 /// Depth-first walk over an item tree, visiting every `fn` with the
 /// innermost enclosing impl's `Self` type (or `None` for free fns).
-pub fn walk_fns<'a>(items: &'a [Item], visit: &mut dyn FnMut(&'a Item, &'a FnSig, Option<&'a str>)) {
+pub fn walk_fns<'a>(
+    items: &'a [Item],
+    visit: &mut dyn FnMut(&'a Item, &'a FnSig, Option<&'a str>),
+) {
     walk_fns_in(items, None, visit);
 }
 
@@ -739,7 +742,8 @@ mod tests {
 
     #[test]
     fn fn_signature_with_ret_and_params() {
-        let items = parse("pub fn load(&self, path: &Path, n: usize) -> io::Result<Vec<u8>> { body() }");
+        let items =
+            parse("pub fn load(&self, path: &Path, n: usize) -> io::Result<Vec<u8>> { body() }");
         assert_eq!(items.len(), 1);
         let ItemKind::Fn(sig) = &items[0].kind else {
             panic!("expected fn, got {:?}", items[0].kind);
@@ -772,7 +776,11 @@ mod tests {
         let items = parse(
             "impl<'a> fmt::Display for poison::Guard<'a> { fn fmt(&self) -> fmt::Result { ok() } }",
         );
-        let ItemKind::Impl { self_type, items: kids } = &items[0].kind else {
+        let ItemKind::Impl {
+            self_type,
+            items: kids,
+        } = &items[0].kind
+        else {
             panic!("expected impl");
         };
         assert_eq!(self_type, "Guard");
@@ -824,7 +832,10 @@ mod tests {
             panic!("expected module");
         };
         assert_eq!(kids.len(), 2);
-        assert!(items[0].span.1 <= items[1].span.0, "siblings must not overlap");
+        assert!(
+            items[0].span.1 <= items[1].span.0,
+            "siblings must not overlap"
+        );
         // Children nest inside the parent.
         for k in kids {
             assert!(k.span.0 >= items[0].span.0 && k.span.1 <= items[0].span.1);

@@ -18,7 +18,9 @@
 //! (bindings, params, `self.field` chains); an unresolvable receiver
 //! is not flagged — like pass 6, this pass under-approximates.
 
-use crate::index::{chain_ending_at, outer_segment, peel, resolve_chain, Bindings, Resolved, Seg, WorkspaceIndex};
+use crate::index::{
+    chain_ending_at, outer_segment, peel, resolve_chain, Bindings, Resolved, Seg, WorkspaceIndex,
+};
 use crate::items::Item;
 use crate::scan::FileScan;
 use crate::{Rule, Violation};
@@ -150,7 +152,9 @@ pub fn run(
             if scan.in_test_region(item.span.0) {
                 return;
             }
-            check_iteration(scan, file, index, self_type, bindings, open, close, &ctx, &mut out);
+            check_iteration(
+                scan, file, index, self_type, bindings, open, close, &ctx, &mut out,
+            );
         },
     );
     out.sort_by_key(|v| (v.line, v.col));
@@ -339,7 +343,10 @@ mod tests {
             manifest_note(&entries, "crates/podium-core/src/engine/eager.rs"),
             Some("selection is bit-identical per seed")
         );
-        assert_eq!(manifest_note(&entries, "crates/podium-sim/src/rng.rs"), None);
+        assert_eq!(
+            manifest_note(&entries, "crates/podium-sim/src/rng.rs"),
+            None
+        );
     }
 
     #[test]
@@ -365,7 +372,11 @@ mod tests {
         let vs = run_on(
             "struct S { index: HashMap<u32, u32> }\nimpl S {\n fn f(&self, m: &HashMap<u32, u32>) {\n let _ = m.get(&1);\n for (k, v) in &self.index { use_it(k, v); }\n let ks: Vec<_> = m.keys().collect();\n }\n}",
         );
-        assert_eq!(vs.iter().map(|v| v.0).collect::<Vec<_>>(), vec![5, 6], "{vs:?}");
+        assert_eq!(
+            vs.iter().map(|v| v.0).collect::<Vec<_>>(),
+            vec![5, 6],
+            "{vs:?}"
+        );
         assert!(vs[0].1.contains("for … in"));
         assert!(vs[1].1.contains(".keys()"));
     }

@@ -43,8 +43,13 @@ const BUILTIN_FALLIBLE_METHODS: &[&[u8]] = &[
 ];
 
 /// std free fns returning `Result` (path-called: `fs::remove_file(…)`).
-const BUILTIN_FALLIBLE_FREE_FNS: &[&str] =
-    &["remove_file", "remove_dir_all", "create_dir_all", "rename", "copy"];
+const BUILTIN_FALLIBLE_FREE_FNS: &[&str] = &[
+    "remove_file",
+    "remove_dir_all",
+    "create_dir_all",
+    "rename",
+    "copy",
+];
 
 /// Macros expanding to a `Result` expression.
 const BUILTIN_FALLIBLE_MACROS: &[&[u8]] = &[b"write", b"writeln"];
@@ -65,7 +70,9 @@ pub fn run(
             if scan.in_test_region(item.span.0) {
                 return;
             }
-            scan_body(scan, file, index, self_type, bindings, open, close, &mut out);
+            scan_body(
+                scan, file, index, self_type, bindings, open, close, &mut out,
+            );
         },
     );
     out.sort_by_key(|v| (v.line, v.col));
@@ -114,7 +121,8 @@ fn check_statement(
 ) {
     // `let _ = expr;` — a deliberate discard of the value.
     let (expr_from, discard_kind) = if scan.is_ident(from, b"let")
-        && scan.tok(from + 1).is_some() && scan.text(from + 1) == b"_"
+        && scan.tok(from + 1).is_some()
+        && scan.text(from + 1) == b"_"
         && scan.is_punct(from + 2, b'=')
     {
         (from + 3, "`let _ =` discards")

@@ -316,13 +316,12 @@ fn resolve_node(segments: &[String], ctx: Option<&ResolveCtx<'_>>) -> (String, b
             return (node, true);
         }
     }
-    let stripped: Vec<&str> = if segments.first().map(String::as_str) == Some("self")
-        && segments.len() > 1
-    {
-        segments.iter().skip(1).map(String::as_str).collect()
-    } else {
-        segments.iter().map(String::as_str).collect()
-    };
+    let stripped: Vec<&str> =
+        if segments.first().map(String::as_str) == Some("self") && segments.len() > 1 {
+            segments.iter().skip(1).map(String::as_str).collect()
+        } else {
+            segments.iter().map(String::as_str).collect()
+        };
     (stripped.join("."), false)
 }
 

@@ -152,7 +152,9 @@ mod tests {
         let rows = lockgraph_to_jsonl(&edges);
         assert!(rows.contains("\"schema\":\"podium.lockgraph/1\",\"seq\":0,"));
         assert!(rows.contains("\"held\":\"Conn::state\",\"held_resolved\":true"));
-        assert!(rows.contains("\"acquired\":\"podium-core/engine.inner\",\"acquired_resolved\":false"));
+        assert!(
+            rows.contains("\"acquired\":\"podium-core/engine.inner\",\"acquired_resolved\":false")
+        );
         assert!(rows.contains("\"line\":42"));
     }
 

@@ -95,8 +95,16 @@ fn locks_fixture_reports_poison_sites_and_the_cycle() {
     assert_eq!(cycles.len(), 1, "one canonical cycle, reported once");
     // Receiver resolution type-qualifies the nodes (`Pair::a`), since
     // the fixture declares the fields.
-    assert!(cycles[0].message.contains("Pair::a -> Pair::b"), "{}", cycles[0].message);
-    assert!(cycles[0].message.contains("Pair::b -> Pair::a"), "{}", cycles[0].message);
+    assert!(
+        cycles[0].message.contains("Pair::a -> Pair::b"),
+        "{}",
+        cycles[0].message
+    );
+    assert!(
+        cycles[0].message.contains("Pair::b -> Pair::a"),
+        "{}",
+        cycles[0].message
+    );
     // Both edges appear in the merged lock graph with resolved flags.
     assert_eq!(outcome.lock_graph.len(), 2);
     assert!(outcome

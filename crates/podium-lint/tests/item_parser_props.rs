@@ -24,7 +24,10 @@ fn check_spans(items: &[Item], lo: usize, hi: usize) -> Result<(), TestCaseError
         prop_assert!(start >= prev_end, "overlap/regression at {:?}", item.name);
         prop_assert!(end <= hi, "span {:?} escapes window {lo}..{hi}", item.span);
         match &item.kind {
-            ItemKind::Module { items: children } | ItemKind::Impl { items: children, .. } => {
+            ItemKind::Module { items: children }
+            | ItemKind::Impl {
+                items: children, ..
+            } => {
                 // Children sit strictly inside the parent (the parent's
                 // keyword precedes them and its closing brace follows).
                 check_spans(children, start + 1, end)?;

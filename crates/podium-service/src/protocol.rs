@@ -13,6 +13,12 @@
 //! | `update-profile` | `user`, `property`, `score` (number or `null` to retract)     |
 //! | `stats`          | —                                                             |
 //!
+//! A request line is at most [`crate::wal::MAX_FRAME_BYTES`] (16 MiB)
+//! long. A longer one gets one `bad_request` line and the connection
+//! closes, on every transport. A socket server reads and discards what
+//! the client is still sending (up to the cap) before it closes, so the
+//! close does not reset the connection under the error line.
+//!
 //! Every response carries `ok` (boolean) and, on success, the `epoch` the
 //! request was served from. Failures carry a stable `error` code (see
 //! [`crate::error::ServiceError::code`]) and a human-readable `message`.
@@ -207,7 +213,11 @@ fn parse_select_params(obj: &Value) -> Result<SelectParams, ServiceError> {
 fn u32_of(v: &Value, name: &str) -> Result<u32, ServiceError> {
     v.as_u64()
         .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| bad(format!("field '{name}' must be a 32-bit non-negative integer")))
+        .ok_or_else(|| {
+            bad(format!(
+                "field '{name}' must be a 32-bit non-negative integer"
+            ))
+        })
 }
 
 fn f64_of(v: &Value, name: &str) -> Result<f64, ServiceError> {
@@ -385,7 +395,12 @@ fn cov_tag(scheme: CovScheme) -> &'static str {
     }
 }
 
-fn bound_pair(pairs: &mut Vec<(String, Value)>, bound: &QuotaBound, count_key: &str, ratio_key: &str) {
+fn bound_pair(
+    pairs: &mut Vec<(String, Value)>,
+    bound: &QuotaBound,
+    count_key: &str,
+    ratio_key: &str,
+) {
     match bound {
         QuotaBound::Count(c) => pairs.push((count_key.to_owned(), num_u64(*c as u64))),
         QuotaBound::Ratio(r) => pairs.push((ratio_key.to_owned(), num_f64(*r))),
@@ -397,8 +412,7 @@ fn push_constraints(pairs: &mut Vec<(String, Value)>, constraints: &SelectConstr
         .quotas
         .iter()
         .map(|q| {
-            let mut qp: Vec<(String, Value)> =
-                vec![("group".to_owned(), num_u64(q.group as u64))];
+            let mut qp: Vec<(String, Value)> = vec![("group".to_owned(), num_u64(q.group as u64))];
             // A `Count(0)` floor is the parse-side default, so it is
             // omitted — keeping encode/parse exact inverses.
             if q.min != QuotaBound::Count(0) {
@@ -537,6 +551,17 @@ pub fn error_response(err: &ServiceError) -> String {
     serde_json::to_string(&Value::Object(pairs)).expect("response serialization is infallible")
 }
 
+/// The one response to a request line longer than
+/// [`crate::wal::MAX_FRAME_BYTES`]: an update that large could not be
+/// logged, so every line transport answers it once and closes the
+/// connection instead of buffering toward the newline.
+pub(crate) fn oversized_line_response() -> String {
+    error_response(&ServiceError::BadRequest(format!(
+        "request line exceeds {} bytes",
+        crate::wal::MAX_FRAME_BYTES
+    )))
+}
+
 /// A `u64` JSON number.
 pub fn num_u64(n: u64) -> Value {
     Value::Number(serde_json::Number::PosInt(n))
@@ -650,7 +675,10 @@ mod tests {
             })
         );
         assert_eq!(params.quota_hash, constraints.fingerprint());
-        assert_ne!(params.quota_hash, 0, "constrained selects have a nonzero hash");
+        assert_ne!(
+            params.quota_hash, 0,
+            "constrained selects have a nonzero hash"
+        );
     }
 
     #[test]

@@ -148,7 +148,8 @@ pub fn write_checkpoint(
     // durability gap — the caller counts it in `checkpoint_failures` and
     // surfaces it through stats, like every other checkpoint error.
     if let Ok(d) = File::open(dir) {
-        d.sync_all().map_err(|e| durability_err("fsync-dir", dir, e))?;
+        d.sync_all()
+            .map_err(|e| durability_err("fsync-dir", dir, e))?;
     }
     prune_checkpoints(dir);
     Ok(())
@@ -703,7 +704,7 @@ mod tests {
         for u in 0..60 {
             let user = genesis.add_user(format!("user-{u}"));
             for &(i, p) in &props {
-                if splitmix64(&mut rng) % 3 != 0 {
+                if !splitmix64(&mut rng).is_multiple_of(3) {
                     let score = unit_float(&mut rng) * f64::from(i + 1) / 6.0;
                     genesis.set_score(user, p, score).unwrap();
                 }

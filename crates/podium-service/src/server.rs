@@ -6,12 +6,16 @@
 //! number of concurrent connections, each drained by its own thread, all
 //! sharing one [`PodiumService`] behind an `Arc`.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::Arc;
 
+use crate::protocol::oversized_line_response;
 use crate::service::PodiumService;
+use crate::tcp::READ_TICK;
+use crate::wal::MAX_FRAME_BYTES;
 
 /// Serves requests from `reader`, writing one response line per request
 /// line to `writer`. Returns when the reader reaches EOF. Blank lines are
@@ -25,24 +29,42 @@ pub fn serve_lines<R: BufRead, W: Write>(
 }
 
 /// [`serve_lines`] with an explicit peer label for per-peer health
-/// tracking in the `stats` op.
+/// tracking in the `stats` op. A line longer than
+/// [`crate::wal::MAX_FRAME_BYTES`] is answered with one `bad_request` and
+/// ends the stream; no more of it is buffered than the cap.
 pub fn serve_lines_from<R: BufRead, W: Write>(
     service: &PodiumService,
     peer: &str,
-    reader: R,
+    mut reader: R,
     writer: &mut W,
 ) -> io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
+    // One byte past the cap tells an over-cap line from a full one.
+    let limit = u64::try_from(MAX_FRAME_BYTES + 1).unwrap_or(u64::MAX);
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        if reader.by_ref().take(limit).read_until(b'\n', &mut frame)? == 0 {
+            return Ok(());
+        }
+        let line = match frame.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None if frame.len() > MAX_FRAME_BYTES => {
+                writer.write_all(oversized_line_response().as_bytes())?;
+                writer.write_all(b"\n")?;
+                return writer.flush();
+            }
+            None => &frame,
+        };
+        let line =
+            std::str::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let response = service.handle_line_from(peer, &line);
+        let response = service.handle_line_from(peer, line);
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
     }
-    Ok(())
 }
 
 /// Serves a single client over stdin/stdout until EOF.
@@ -53,10 +75,34 @@ pub fn serve_stdio(service: &PodiumService) -> io::Result<()> {
     serve_lines_from(service, "stdio", stdin.lock(), &mut out)
 }
 
-fn handle_connection(service: &PodiumService, stream: UnixStream) -> io::Result<()> {
+fn handle_connection(service: &PodiumService, mut stream: UnixStream) -> io::Result<()> {
     let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    serve_lines_from(service, "unix", reader, &mut writer)
+    let mut writer = BufWriter::new(stream.try_clone()?);
+    serve_lines_from(service, "unix", reader, &mut writer)?;
+    // EOF or an over-cap line, whose rest the peer may still be sending.
+    stream.shutdown(Shutdown::Write)?;
+    stream.set_read_timeout(Some(READ_TICK))?;
+    discard_input(&mut stream, || true);
+    Ok(())
+}
+
+/// Reads and discards what a peer still sends before its connection is
+/// dropped, once the write side is shut. A socket dropped with unread
+/// input resets the connection, and the reset can fail the peer's write
+/// or cost it the response it has not read yet. Stops at EOF, at a read
+/// error or timeout (the caller sets the read timeout), after
+/// [`MAX_FRAME_BYTES`] bytes, or once `go_on` returns false.
+pub(crate) fn discard_input(reader: &mut impl Read, mut go_on: impl FnMut() -> bool) {
+    let mut chunk = [0u8; 4096];
+    let mut left = MAX_FRAME_BYTES;
+    while left > 0 && go_on() {
+        match reader.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => left = left.saturating_sub(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
 }
 
 /// Binds `path` and serves connections forever (one thread per client).
@@ -125,6 +171,52 @@ mod tests {
         assert_eq!(second.get("ok").and_then(Value::as_bool), Some(false));
         let third: Value = serde_json::from_str(lines[2]).unwrap();
         assert_eq!(third.get("epoch").and_then(Value::as_u64), Some(0));
+    }
+
+    #[test]
+    fn an_over_cap_line_gets_one_error_and_eof() {
+        let dir = std::env::temp_dir().join(format!("podium-service-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("over-cap.sock");
+        {
+            let svc = service();
+            let sock = sock.clone();
+            std::thread::spawn(move || {
+                let _ = serve_unix(svc, &sock);
+            });
+        }
+        let mut tries = 0;
+        while !sock.exists() && tries < 200 {
+            std::thread::sleep(Duration::from_millis(10));
+            tries += 1;
+        }
+        // One byte past the cap, and 64 KiB past it: the server stops
+        // reading near the cap, so the rest is still unread when it answers.
+        for past_cap in [1, 64 << 10] {
+            let mut stream = UnixStream::connect(&sock).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            stream
+                .write_all(&vec![b'x'; MAX_FRAME_BYTES + past_cap])
+                .unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let v: Value = serde_json::from_str(&line).unwrap();
+            assert_eq!(v.get("error").and_then(Value::as_str), Some("bad_request"));
+            line.clear();
+            assert_eq!(reader.read_line(&mut line).unwrap(), 0, "EOF, got: {line}");
+            // The listener still serves the next connection.
+            let mut stream = UnixStream::connect(&sock).unwrap();
+            stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+            let mut reader = BufReader::new(stream);
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            let v: Value = serde_json::from_str(&line).unwrap();
+            assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v:?}");
+        }
+        let _ = std::fs::remove_file(&sock);
     }
 
     #[test]

@@ -27,8 +27,7 @@ use std::time::Instant;
 
 use podium_core::bucket::PropertyBuckets;
 use podium_core::engine::{
-    constraint_fingerprint, select, AnnealSchedule, CsrGraph, Quota, QuotaSet, SelectSpec,
-    Strategy,
+    constraint_fingerprint, select, AnnealSchedule, CsrGraph, Quota, QuotaSet, SelectSpec, Strategy,
 };
 use podium_core::greedy::Selection;
 use podium_core::group::GroupSet;

@@ -19,7 +19,12 @@
 //! `BufRead::read_line` so that a read timeout mid-frame loses nothing:
 //! partial bytes stay in the buffer and the next read continues the same
 //! frame. That is exactly the situation the chaos proxy's byte-level
-//! write splits create.
+//! write splits create. The buffer holds at most one request line of
+//! [`MAX_FRAME_BYTES`] plus one read; a longer line is answered with one
+//! `bad_request` and the connection closes. Before it closes, the server
+//! shuts its write side and discards what the peer is still sending (up
+//! to the cap, until a read tick passes without input), so the close
+//! does not reset the connection before the peer reads the error line.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -29,7 +34,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::poison;
+use crate::protocol::oversized_line_response;
+use crate::server::discard_input;
 use crate::service::PodiumService;
+use crate::wal::MAX_FRAME_BYTES;
 
 /// Sizing and timing knobs of the TCP transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +101,10 @@ impl std::fmt::Debug for TcpServer {
 
 /// Granularity at which connection threads re-check the shutdown flag,
 /// the idle clock, and new bytes. Small enough that shutdown and idle
-/// enforcement are prompt; large enough to stay off the profile.
-const READ_TICK: Duration = Duration::from_millis(50);
+/// enforcement are prompt; large enough to stay off the profile. A read
+/// tick without input also ends the discard before a close, on this
+/// transport and the Unix socket's.
+pub(crate) const READ_TICK: Duration = Duration::from_millis(50);
 
 impl TcpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
@@ -251,24 +261,47 @@ fn serve_connection(shared: &TcpShared, mut stream: TcpStream) {
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "tcp-unknown".to_owned());
     let mut pending: Vec<u8> = Vec::with_capacity(1024);
+    // `pending[..searched]` holds no newline, so each byte is scanned once.
+    let mut searched = 0;
     let mut chunk = [0u8; 4096];
     let mut last_request = Instant::now();
     loop {
         // Drain every complete frame already buffered before reading more.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let frame: Vec<u8> = pending.drain(..=pos).collect();
-            // podium-lint: allow(index) — drain(..=pos) always includes the newline, so the frame is non-empty
-            let line = String::from_utf8_lossy(&frame[..frame.len() - 1]);
+        while let Some(end) = pending
+            .get(searched..)
+            .and_then(|fresh| fresh.iter().position(|&b| b == b'\n'))
+            .map(|pos| searched + pos)
+        {
+            if end > MAX_FRAME_BYTES {
+                break;
+            }
+            let line = String::from_utf8_lossy(pending.get(..end).unwrap_or_default());
             let line = line.trim();
             last_request = Instant::now();
-            if line.is_empty() {
-                continue;
+            if !line.is_empty() {
+                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+                let response = shared.service.handle_line_from(&peer, line);
+                if write_response(&mut stream, &response).is_err() {
+                    return;
+                }
             }
-            shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-            let response = shared.service.handle_line_from(&peer, line);
-            if write_response(&mut stream, &response).is_err() {
-                return;
+            pending.drain(..=end);
+            searched = 0;
+        }
+        searched = pending.len();
+        if searched > MAX_FRAME_BYTES {
+            // The head line can never be served: answer it once and hang
+            // up rather than buffer toward its newline.
+            if write_response(&mut stream, &oversized_line_response()).is_ok()
+                && stream.shutdown(Shutdown::Write).is_ok()
+            {
+                let since = Instant::now();
+                discard_input(&mut stream, || {
+                    !shared.shutdown.load(Ordering::SeqCst)
+                        && since.elapsed() < shared.config.idle_timeout
+                });
             }
+            return;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -414,6 +447,33 @@ mod tests {
         assert_eq!(server.stats().refused.load(Ordering::Relaxed), 1);
         drop(second);
         drop(first);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_over_cap_line_gets_one_error_and_eof() {
+        let server = TcpServer::bind(service(), "127.0.0.1:0", TcpServerConfig::default()).unwrap();
+        // One byte past the cap, and 64 KiB past it: the server stops
+        // reading at the cap, so the rest is still unread when it answers.
+        for past_cap in [1, 64 << 10] {
+            let (mut stream, mut reader) = connect(server.local_addr());
+            stream
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            stream
+                .write_all(&vec![b'x'; MAX_FRAME_BYTES + past_cap])
+                .unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let v: Value = serde_json::from_str(line.trim()).unwrap();
+            assert_eq!(v.get("error").and_then(Value::as_str), Some("bad_request"));
+            line.clear();
+            assert_eq!(reader.read_line(&mut line).unwrap(), 0, "EOF, got: {line}");
+            // The server still serves the next connection.
+            let (mut stream, mut reader) = connect(server.local_addr());
+            let v = round_trip(&mut stream, &mut reader, r#"{"op":"select","budget":2}"#);
+            assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v:?}");
+        }
         server.shutdown();
     }
 

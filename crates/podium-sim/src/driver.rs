@@ -566,7 +566,9 @@ impl Driver {
             }
             let request = Request::Select {
                 params: SelectParams {
-                    quota_hash: constraints.as_ref().map_or(0, SelectConstraints::fingerprint),
+                    quota_hash: constraints
+                        .as_ref()
+                        .map_or(0, SelectConstraints::fingerprint),
                     ..params
                 },
                 constraints,

@@ -205,10 +205,16 @@ fn lint_section(
         let delta = suppressed_debt as i64 - prev as i64;
         match delta.cmp(&0) {
             std::cmp::Ordering::Greater => {
-                let _ = writeln!(human, "suppression debt: +{delta} vs previous rollup (NEW DEBT)");
+                let _ = writeln!(
+                    human,
+                    "suppression debt: +{delta} vs previous rollup (NEW DEBT)"
+                );
             }
             std::cmp::Ordering::Less => {
-                let _ = writeln!(human, "suppression debt: {delta} vs previous rollup (burned down)");
+                let _ = writeln!(
+                    human,
+                    "suppression debt: {delta} vs previous rollup (burned down)"
+                );
             }
             std::cmp::Ordering::Equal => {
                 let _ = writeln!(human, "suppression debt: unchanged vs previous rollup");
@@ -604,8 +610,7 @@ mod tests {
             .unwrap()
         };
         // Previous rollup carried 5 suppressions; this run has 2.
-        let previous: Value =
-            serde_json::from_str("{\"lint\":{\"suppressed_debt\":5}}").unwrap();
+        let previous: Value = serde_json::from_str("{\"lint\":{\"suppressed_debt\":5}}").unwrap();
         let (human, rollup) = render(&[lint_rows()], Some(&previous));
         let l = rollup.get("lint").unwrap();
         assert_eq!(l.get("debt_delta").and_then(Value::as_i64), Some(-3));
@@ -639,9 +644,7 @@ mod tests {
         let e = rollup.get("experiments").unwrap();
         assert_eq!(e.get("ok").and_then(Value::as_u64), Some(2));
         assert_eq!(e.get("panicked").and_then(Value::as_u64), Some(0));
-        assert!(
-            (e.get("total_seconds").and_then(Value::as_f64).unwrap() - 3.2).abs() < 1e-9
-        );
+        assert!((e.get("total_seconds").and_then(Value::as_f64).unwrap() - 3.2).abs() < 1e-9);
         assert!(human.contains("2 ok"), "{human}");
     }
 

@@ -344,10 +344,11 @@ fn parse_constraints(
         if !q.is_object() {
             return Err(bad(format!("'constraints.quotas[{i}]' must be an object")));
         }
-        let group = q
-            .get("group")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| bad(format!("'constraints.quotas[{i}].group' must be a group id")))?;
+        let group = q.get("group").and_then(Value::as_u64).ok_or_else(|| {
+            bad(format!(
+                "'constraints.quotas[{i}].group' must be a group id"
+            ))
+        })?;
         if group >= universe as u64 {
             return Err(bad(format!(
                 "'constraints.quotas[{i}].group' = {group} is outside the scenario's group \
@@ -360,7 +361,8 @@ fn parse_constraints(
                 "'constraints.quotas[{i}].group' = {group} duplicates an earlier quota"
             )));
         }
-        let min = parse_quota_bound(q, i, "min_count", "min_ratio")?.unwrap_or(QuotaBound::Count(0));
+        let min =
+            parse_quota_bound(q, i, "min_count", "min_ratio")?.unwrap_or(QuotaBound::Count(0));
         let max = parse_quota_bound(q, i, "max_count", "max_ratio")?;
         // Resolve against the session budget (the budget every session
         // select uses) so min > max is caught at load time, not as a
@@ -395,7 +397,9 @@ fn parse_constraints(
                 cooling: get_f64(a, "cooling", 1.0)?,
             };
             if !schedule.t0.is_finite() || schedule.t0 < 0.0 {
-                return Err(bad("'constraints.anneal.t0' must be a finite non-negative number"));
+                return Err(bad(
+                    "'constraints.anneal.t0' must be a finite non-negative number",
+                ));
             }
             if !(schedule.cooling > 0.0 && schedule.cooling <= 1.0) {
                 return Err(bad("'constraints.anneal.cooling' must be in (0, 1]"));
@@ -452,7 +456,11 @@ fn resolve_bound(bound: &QuotaBound, budget: usize, is_floor: bool) -> u32 {
         QuotaBound::Count(c) => *c,
         QuotaBound::Ratio(r) => {
             let exact = r * budget as f64;
-            let resolved = if is_floor { exact.ceil() } else { exact.floor() };
+            let resolved = if is_floor {
+                exact.ceil()
+            } else {
+                exact.floor()
+            };
             resolved.clamp(0.0, u32::MAX as f64) as u32 // podium-lint: allow(as-cast) — clamped first
         }
     }
@@ -575,9 +583,15 @@ mod tests {
 
     #[test]
     fn clients_is_a_top_level_count() {
-        let text = MINIMAL.replace("\"duration_s\": 1.0,", "\"duration_s\": 1.0, \"clients\": 3,");
+        let text = MINIMAL.replace(
+            "\"duration_s\": 1.0,",
+            "\"duration_s\": 1.0, \"clients\": 3,",
+        );
         assert_eq!(parse_scenario(&text).unwrap().clients, 3);
-        let text = MINIMAL.replace("\"duration_s\": 1.0,", "\"duration_s\": 1.0, \"clients\": -1,");
+        let text = MINIMAL.replace(
+            "\"duration_s\": 1.0,",
+            "\"duration_s\": 1.0, \"clients\": -1,",
+        );
         let e = parse_scenario(&text).unwrap_err();
         assert!(e.to_string().contains("'clients'"), "{e}");
     }

@@ -343,6 +343,9 @@ fn soak_quotas() -> Vec<Quota> {
     ]
 }
 
+/// One constrained select as a client saw it: epoch, slate and score.
+type Observation = (u64, Vec<String>, f64);
+
 /// One seed's *constrained* soak: resilient clients fire quota- and
 /// anneal-carrying selects through the chaos proxy while the writer
 /// publishes epochs. Every ok response must be bit-identical to the
@@ -402,7 +405,7 @@ fn constrained_soak_one_seed(seed: u64) {
             let request = format!(
                 r#"{{"op":"select","budget":{BUDGET},"constraints":{{"quotas":[{{"group":0,"min_count":1}},{{"group":3,"max_ratio":0.5}}],"anneal":{{"seed":{anneal_seed},"steps":96,"t0":0.5,"cooling":0.9}}}}}}"#
             );
-            let mut observations: Vec<(u64, Vec<String>, f64)> = Vec::new();
+            let mut observations: Vec<Observation> = Vec::new();
             let mut attempts = 0usize;
             while observations.len() < CONSTRAINED_SELECTS && attempts < CONSTRAINED_SELECTS * 20 {
                 attempts += 1;
@@ -438,7 +441,7 @@ fn constrained_soak_one_seed(seed: u64) {
         }));
     }
 
-    let results: Vec<(u64, Vec<(u64, Vec<String>, f64)>)> = clients
+    let results: Vec<(u64, Vec<Observation>)> = clients
         .into_iter()
         .map(|c| c.join().expect("constrained client panicked"))
         .collect();
