@@ -1,19 +1,14 @@
 //! # podium-baselines
 //!
 //! The comparator selection algorithms of the paper's experimental study
-//! (§8.3), plus two extensions from the related-work comparison (Table 1):
+//! (§8.3):
 //!
 //! * [`random`] — uniform random selection (common survey practice);
 //! * [`clustering`] — k-means over the high-dimensional profiles, one
 //!   near-mean representative per cluster;
 //! * [`distance`] — the distance-based S-Model: greedy maximization of
 //!   pairwise Jaccard distances between property sets;
-//! * [`optimal`] — exhaustive optimal selection (tiny instances only);
-//! * [`stratified`] — stratified sampling with proportionate allocation
-//!   (Definition 2.1) over disjoint strata;
-//! * [`mmr`] — maximal marginal relevance re-ranking;
-//! * [`tmodel`] — T-Model-style *predicted* coverage over a single
-//!   category's opinion distribution.
+//! * [`optimal`] — exhaustive optimal selection (tiny instances only).
 //!
 //! All selectors implement the common [`selector::Selector`] trait so the
 //! experiment harness can drive them interchangeably.
@@ -23,21 +18,15 @@
 
 pub mod clustering;
 pub mod distance;
-pub mod mmr;
 pub mod optimal;
 pub mod random;
 pub mod selector;
-pub mod stratified;
-pub mod tmodel;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::clustering::KMeansSelector;
     pub use crate::distance::DistanceSelector;
-    pub use crate::mmr::MmrSelector;
     pub use crate::optimal::OptimalSelector;
     pub use crate::random::RandomSelector;
     pub use crate::selector::Selector;
-    pub use crate::stratified::StratifiedSelector;
-    pub use crate::tmodel::TModelSelector;
 }

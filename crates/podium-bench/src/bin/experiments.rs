@@ -128,16 +128,18 @@ fn header(title: &str) {
     println!("\n==== {title} ====");
 }
 
-/// Writes a checked-in artifact into the current directory; a failed
-/// serialization or write is reported, not fatal.
+/// Writes a checked-in artifact into the current directory. A failed
+/// serialization or write panics, so the experiment's status row reads
+/// `panicked` and the run exits nonzero.
 fn write_artifact(name: &str, text: serde_json::Result<String>) {
     let written = text
         .map_err(|e| e.to_string())
         .and_then(|text| std::fs::write(name, text).map_err(|e| e.to_string()));
-    match written {
-        Ok(()) => println!("wrote {name}"),
-        Err(e) => println!("could not write {name}: {e}"),
+    if let Err(e) = written {
+        // podium-lint: allow(panic) — a lost artifact must fail its experiment; the isolation harness records the panic
+        panic!("could not write {name}: {e}");
     }
+    println!("wrote {name}");
 }
 
 /// Prints paired-bootstrap significance of Podium vs. each competitor on

@@ -5,13 +5,16 @@
 //! For each quota tightness level the experiment times the
 //! feasibility-aware greedy, calibrates the annealer's step count so one
 //! refinement pass spends roughly the wall-clock the greedy did (a probe
-//! run measures the per-step cost), and reports both scores. The
+//! run measures the per-step cost), and reports both scores. Every time
+//! is a median of interleaved calls by the rule of [`crate::timing`]
+//! (the greedy's alternating with the probe's), so the step budget comes
+//! from the greedy's median call. The
 //! annealer's best-so-far guarantee makes `anneal_score >= greedy_score`
 //! an invariant, so `improvement_pct` is never negative; what the
 //! artifact actually measures is how much of the constrained gap a
 //! time-matched refinement pass recovers at each tightness.
 
-use std::time::Instant;
+use std::hint::black_box;
 
 use podium_core::bucket::BucketingConfig;
 use podium_core::engine::{
@@ -24,6 +27,7 @@ use podium_service::protocol::{num_f64, num_u64};
 use serde_json::Value;
 
 use crate::datasets;
+use crate::timing::interleaved_medians;
 
 /// Step count of the calibration probe. Small enough to be cheap next
 /// to the measured run, large enough to average out timer noise.
@@ -146,7 +150,6 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
         let quota_count = quotas.len();
         let quota_set = QuotaSet::build(quotas, groups.len(), budget)
             .expect("swept quota mixes are well-formed by construction");
-        let t0 = Instant::now();
         let greedy = match constrained_lazy_select(&inst, &csr, budget, &quota_set) {
             Ok(sel) => sel,
             Err(_) => {
@@ -164,8 +167,6 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
                 continue;
             }
         };
-        let greedy_secs = t0.elapsed().as_secs_f64();
-
         // Temperature that makes swaps losing one smallest marginal
         // gain plausible early on, then cools geometrically.
         let temp = greedy
@@ -182,10 +183,20 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
             t0: temp,
             cooling: 0.999,
         };
-        let t1 = Instant::now();
-        let _ = anneal_refine(&inst, &csr, &quota_set, &greedy, &probe);
-        let probe_secs = t1.elapsed().as_secs_f64().max(1e-9);
-        let per_step = probe_secs / f64::from(PROBE_STEPS);
+        let [greedy_time, probe_time] = interleaved_medians([
+            &mut || {
+                drop(black_box(constrained_lazy_select(
+                    &inst, &csr, budget, &quota_set,
+                )))
+            },
+            &mut || {
+                drop(black_box(anneal_refine(
+                    &inst, &csr, &quota_set, &greedy, &probe,
+                )))
+            },
+        ]);
+        let greedy_secs = greedy_time.as_secs_f64();
+        let per_step = probe_time.as_secs_f64().max(1e-9) / f64::from(PROBE_STEPS);
         // podium-lint: allow(as-cast) — clamped into STEP_RANGE (far below
         // u32::MAX) before the cast
         let steps = ((greedy_secs / per_step) as u32).clamp(STEP_RANGE.0, STEP_RANGE.1);
@@ -196,9 +207,11 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
             t0: temp,
             cooling: 0.999,
         };
-        let t2 = Instant::now();
-        let annealed = anneal_refine(&inst, &csr, &quota_set, &greedy, &schedule);
-        let anneal_secs = t2.elapsed().as_secs_f64();
+        let mut annealed = greedy.clone();
+        let [anneal_time] = interleaved_medians([&mut || {
+            annealed = anneal_refine(&inst, &csr, &quota_set, &greedy, &schedule);
+        }]);
+        let anneal_secs = anneal_time.as_secs_f64();
 
         let improvement_pct = if greedy.score > 0.0 {
             100.0 * (annealed.score - greedy.score) / greedy.score

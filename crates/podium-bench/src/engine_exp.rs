@@ -1,9 +1,11 @@
-//! Greedy engine timing: Algorithm 1's eager scan against CELF on one
-//! prebuilt CSR per instance, written to `BENCH_20.json`.
+//! Greedy engine timing: the exact loop's two strategies on one prebuilt
+//! CSR per instance, written to `BENCH_20.json`.
 //!
-//! The paper's greedy is Algorithm 1 (§4); serving runs CELF. Which loop
-//! is faster depends on the instance's shape and weights, so the sweep
-//! covers three shapes:
+//! The paper's greedy is Algorithm 1 (§4). `eager` finds every round's
+//! argmax with a scan of the exact marginals; `lazy`, which serving runs,
+//! starts with CELF's heap and hands the run to the scan once one round's
+//! stale pops show the scan is cheaper. Which one is faster depends on
+//! the instance's shape and weights, so the sweep covers three shapes:
 //!
 //! * `tripadvisor` — `synth::tripadvisor` under paper bucketing, the
 //!   repository the service benchmarks serve;
@@ -15,12 +17,10 @@
 //!   the size a property bucket reaches on the review datasets, with no
 //!   bucketing pass.
 //!
-//! Each cell times both engines [`CALLS`] times, interleaved with the
-//! first engine alternating, and keeps the median. Both engines keep the
-//! same exact marginals and break ties to the smaller user id, so their
-//! selections must be identical, scores bit for bit.
-
-use std::time::Instant;
+//! Each cell times both strategies by the rule of [`crate::timing`]: the
+//! median of [`CALLS`] interleaved calls. Both read the same exact
+//! marginals and break ties to the smaller user id, so their selections
+//! must be identical, scores bit for bit.
 
 use podium_core::bucket::BucketingConfig;
 use podium_core::engine::{select, CsrGraph, SelectSpec, Strategy};
@@ -37,9 +37,7 @@ use podium_sim::rng::SimRng;
 use serde_json::Value;
 
 use crate::serving_exp::serve_scenario;
-
-/// Calls per engine and cell; the median of an odd count is one call.
-pub const CALLS: usize = 31;
+use crate::timing::{interleaved_medians, CALLS};
 
 /// Budgets swept: the paper's B and the serving benchmark's session B.
 const BUDGETS: [usize; 2] = [8, 64];
@@ -65,7 +63,8 @@ pub struct EngineRow {
     pub budget: usize,
     /// Weight scheme (`lbs` or `iden`); coverage is `Single`.
     pub weights: &'static str,
-    /// `eager` (Algorithm 1's scan) or `lazy` (CELF).
+    /// `eager` (the scan) or `lazy` (CELF's heap, handing over to the
+    /// scan).
     pub strategy: &'static str,
     /// Median wall time of one select call (µs).
     pub median_us: f64,
@@ -109,40 +108,15 @@ fn sparse_groups(users: usize, seed: u64) -> GroupSet {
     GroupSet::from_memberships(users, memberships)
 }
 
-/// One engine's calls on one cell and its last selection.
-struct Engine<'s> {
-    name: &'static str,
-    spec: SelectSpec<'s>,
-    micros: Vec<f64>,
-    users: Vec<UserId>,
-    score: f64,
-}
-
-impl<'s> Engine<'s> {
-    fn new(name: &'static str, spec: SelectSpec<'s>) -> Self {
-        Self {
-            name,
-            spec,
-            micros: Vec::with_capacity(CALLS),
-            users: Vec::new(),
-            score: 0.0,
-        }
-    }
-
-    fn call(&mut self, inst: &DiversificationInstance<'_, f64>, csr: &CsrGraph) {
-        let t0 = Instant::now();
-        let selection = select(inst, csr, &self.spec).expect("a plain select completes");
-        self.micros.push(t0.elapsed().as_secs_f64() * 1e6);
-        self.users = selection.users;
-        self.score = selection.score;
-    }
-
-    /// The median call time (µs) and the score.
-    fn into_median(mut self) -> (f64, f64) {
-        self.micros.sort_by(f64::total_cmp);
-        let median = self.micros.get(CALLS / 2).copied().unwrap_or(0.0);
-        (median, self.score)
-    }
+/// Selects once under `spec`, keeping the users and the score.
+fn call(
+    inst: &DiversificationInstance<'_, f64>,
+    csr: &CsrGraph,
+    spec: &SelectSpec<'_>,
+    out: &mut (Vec<UserId>, f64),
+) {
+    let selection = select(inst, csr, spec).expect("a plain select completes");
+    *out = (selection.users, selection.score);
 }
 
 /// Times eager and lazy on every instance × budget × weights cell: two
@@ -159,30 +133,26 @@ pub fn run(scale: f64, seed: u64) -> Vec<EngineRow> {
                     CovScheme::Single,
                     budget,
                 );
-                let eager_loop = Strategy::Eager {
+                let scan = Strategy::Eager {
                     tie_break: TieBreak::FirstUser,
                 };
-                let mut eager = Engine::new("eager", SelectSpec::new(budget, eager_loop));
-                let mut lazy = Engine::new("lazy", SelectSpec::new(budget, Strategy::Lazy));
-                for call in 0..CALLS {
-                    // Alternate the first engine so a change in the
-                    // host's load hits both alike.
-                    let (first, second) = if call.is_multiple_of(2) {
-                        (&mut eager, &mut lazy)
-                    } else {
-                        (&mut lazy, &mut eager)
-                    };
-                    first.call(&inst, &csr);
-                    second.call(&inst, &csr);
-                }
+                let (eager_spec, lazy_spec) = (
+                    SelectSpec::new(budget, scan),
+                    SelectSpec::new(budget, Strategy::Lazy),
+                );
+                let (mut eager, mut lazy) = ((Vec::new(), 0.0), (Vec::new(), 0.0));
+                let [eager_time, lazy_time] = interleaved_medians([
+                    &mut || call(&inst, &csr, &eager_spec, &mut eager),
+                    &mut || call(&inst, &csr, &lazy_spec, &mut lazy),
+                ]);
                 assert!(
-                    eager.users == lazy.users && eager.score.to_bits() == lazy.score.to_bits(),
+                    eager.0 == lazy.0 && eager.1.to_bits() == lazy.1.to_bits(),
                     "eager and lazy select the same users and score on {instance}, \
                      B = {budget}, {weights}"
                 );
-                for engine in [eager, lazy] {
-                    let strategy = engine.name;
-                    let (median_us, score) = engine.into_median();
+                for (strategy, median, score) in
+                    [("eager", eager_time, eager.1), ("lazy", lazy_time, lazy.1)]
+                {
                     rows.push(EngineRow {
                         instance,
                         users: groups.user_count(),
@@ -191,7 +161,7 @@ pub fn run(scale: f64, seed: u64) -> Vec<EngineRow> {
                         budget,
                         weights,
                         strategy,
-                        median_us,
+                        median_us: median.as_secs_f64() * 1e6,
                         score,
                     });
                 }

@@ -22,3 +22,4 @@ pub mod scalability_exp;
 pub mod selectors;
 pub mod serving_exp;
 pub mod table2_exp;
+pub mod timing;

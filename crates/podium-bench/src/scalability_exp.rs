@@ -4,11 +4,13 @@
 //! Each sweep point generates a synthetic repository and times the
 //! end-to-end selection (including group construction for Podium and
 //! clustering for k-means — each algorithm pays its own preprocessing, as
-//! in the paper's system-level measurements). Expected shapes (§8.5):
+//! in the paper's system-level measurements), by the rule of
+//! [`crate::timing`]: the median of interleaved calls. Expected shapes (§8.5):
 //! Podium and Distance scale linearly and are roughly an order of magnitude
 //! faster than Clustering; Random is immediate and omitted.
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::Duration;
 
 use podium_baselines::prelude::*;
 use podium_data::derive::{DeriveOptions, PropertyKinds};
@@ -17,6 +19,7 @@ use podium_service::protocol::{num_f64, num_u64};
 use serde_json::Value;
 
 use crate::selectors::PodiumSelector;
+use crate::timing::interleaved_medians;
 
 /// One timing row of a scalability sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,12 +68,7 @@ fn sweep_config(users: usize, leaves_per_region: usize, seed: u64) -> SynthConfi
     }
 }
 
-fn time_ms(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
+/// Median selection times (ms) of Podium, Clustering and Distance.
 fn measure(
     repo: &podium_core::profile::UserRepository,
     budget: usize,
@@ -79,16 +77,13 @@ fn measure(
     let podium = PodiumSelector::paper_default();
     let clustering = KMeansSelector::new(seed);
     let distance = DistanceSelector::new(seed);
-    let p = time_ms(|| {
-        let _ = podium.select(repo, budget);
-    });
-    let c = time_ms(|| {
-        let _ = clustering.select(repo, budget);
-    });
-    let d = time_ms(|| {
-        let _ = distance.select(repo, budget);
-    });
-    (p, c, d)
+    let [p, c, d] = interleaved_medians([
+        &mut || drop(black_box(podium.select(repo, budget))),
+        &mut || drop(black_box(clustering.select(repo, budget))),
+        &mut || drop(black_box(distance.select(repo, budget))),
+    ]);
+    let ms = |t: Duration| t.as_secs_f64() * 1e3;
+    (ms(p), ms(c), ms(d))
 }
 
 /// Figure 5 sweep: runtime as a function of the number of users.

@@ -115,6 +115,41 @@ fn clean_run_exits_zero_with_ok_entries() {
 }
 
 #[test]
+fn failed_artifact_write_fails_the_experiment() {
+    // A directory where `ablation` writes BENCH_20.json makes the write
+    // fail after the experiment's work is done.
+    let dir = std::env::temp_dir().join(format!("podium-exp-artifact-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("BENCH_20.json")).expect("create the blocking directory");
+    let status = temp_status("artifact");
+    let out = experiments()
+        .args([
+            "ablation",
+            "--scale",
+            "0.05",
+            "--status-file",
+            status.to_str().unwrap(),
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("run experiments binary");
+    assert!(
+        !out.status.success(),
+        "a failed artifact write must flip the exit code"
+    );
+    assert_eq!(
+        entries(&status),
+        vec![("ablation".to_owned(), "panicked".to_owned())]
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("could not write BENCH_20.json"),
+        "the panic names the artifact:\n{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&status).ok();
+}
+
+#[test]
 fn unknown_experiment_is_a_usage_error() {
     let out = experiments()
         .args(["fig9000"])

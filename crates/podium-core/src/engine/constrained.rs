@@ -1,21 +1,21 @@
 //! Quota constraints: hard per-group floors and ceilings on top of the
-//! lazy greedy selection.
+//! exact greedy selection.
 //!
 //! A [`QuotaSet`] attaches a `[min, max]` occupancy window to a small
 //! number of groups, each bound expressed as an absolute [count] or as a
-//! [ratio] of the selection budget. The CELF loop in [`super::lazy`]
-//! consults a [`QuotaTracker`] before every commit to keep a
-//! *feasibility invariant*:
+//! [ratio] of the selection budget. The greedy loop in
+//! [`super::algorithm1`] consults a [`QuotaTracker`] before every commit
+//! to keep a *feasibility invariant*:
 //!
 //! > After every committed prefix, some completion within the remaining
 //! > budget still satisfies every quota window.
 //!
-//! Candidates that would overshoot a ceiling are dropped permanently
-//! (occupancy never decreases); candidates that would merely strand a
-//! floor are deferred for the round and re-enter the heap — stale, so
-//! they are re-evaluated before any later commit — after the next
-//! commit. With an empty `QuotaSet` the loop runs without the tracker
-//! and is **bit-identical** to [`super::lazy_select_csr`].
+//! Each round commits the best candidate the tracker admits. Candidates
+//! that would overshoot a ceiling are out for good (occupancy never
+//! decreases); candidates that would merely strand a floor are passed
+//! over for the round and reconsidered after the next commit. With an
+//! empty `QuotaSet` the loop runs without the tracker and is
+//! **bit-identical** to [`super::lazy_select_csr`].
 //!
 //! Feasibility is decided *exactly*. Users are collapsed into
 //! membership signatures over the quota'd groups (at most
@@ -33,6 +33,7 @@ use std::collections::HashMap;
 
 use super::anneal::AnnealSchedule;
 use super::csr::CsrGraph;
+use crate::ids::UserId;
 
 /// Most groups a single [`QuotaSet`] may constrain. The feasibility
 /// oracle enumerates membership signatures over the quota'd groups, so
@@ -475,7 +476,7 @@ impl Oracle {
     }
 }
 
-/// Quota bookkeeping for the CELF loop's commit hook.
+/// Quota bookkeeping for the greedy loop's commit hook.
 pub(super) struct QuotaTracker {
     mins: Vec<u32>,
     maxs: Vec<u32>,
@@ -485,6 +486,9 @@ pub(super) struct QuotaTracker {
     avail: Vec<u32>,
     /// Cached signature per user.
     sig: Vec<u16>,
+    /// This round's admissibility verdicts, by signature: every user
+    /// sharing a signature has the same one. Cleared at every commit.
+    verdicts: Vec<Option<bool>>,
 }
 
 impl QuotaTracker {
@@ -513,21 +517,24 @@ impl QuotaTracker {
             occupancy: vec![0u32; q],
             avail,
             sig,
+            verdicts: vec![None; 1 << q],
         }
     }
 
-    pub(super) fn q(&self) -> usize {
+    fn q(&self) -> usize {
         self.mins.len()
-    }
-
-    pub(super) fn sig_of(&self, user: u32) -> u16 {
-        self.sig[user as usize]
     }
 
     /// Whether adding one user with signature `sig` would overshoot a
     /// ceiling. Permanent: occupancy never decreases during selection.
-    pub(super) fn breaches_ceiling(&self, sig: u16) -> bool {
+    fn breaches(&self, sig: u16) -> bool {
         (0..self.q()).any(|i| sig & (1 << i) != 0 && self.occupancy[i] >= self.maxs[i])
+    }
+
+    /// Whether adding `user` would overshoot a ceiling, now and in every
+    /// later round.
+    pub(super) fn breaches_ceiling(&self, user: UserId) -> bool {
+        self.breaches(self.sig[user.index()])
     }
 
     /// Residual floors.
@@ -558,10 +565,21 @@ impl QuotaTracker {
         oracle.search(&self.avail, 0, budget, &needs, &headroom, &adds)
     }
 
-    /// Exact admissibility of committing one user with signature `sig`
-    /// next, given `budget_left` picks remain (including this one).
-    pub(super) fn admits(&mut self, sig: u16, budget_left: usize) -> bool {
-        if self.breaches_ceiling(sig) {
+    /// Exact admissibility of committing `user` next, given
+    /// `budget_left` picks remain (including this one); decided once per
+    /// signature and round.
+    pub(super) fn admits(&mut self, user: UserId, budget_left: usize) -> bool {
+        let sig = self.sig[user.index()];
+        let verdict = match self.verdicts[usize::from(sig)] {
+            Some(verdict) => verdict,
+            None => self.admits_sig(sig, budget_left),
+        };
+        self.verdicts[usize::from(sig)] = Some(verdict);
+        verdict
+    }
+
+    fn admits_sig(&mut self, sig: u16, budget_left: usize) -> bool {
+        if self.breaches(sig) {
             return false;
         }
         // Tentatively take the user, ask completability, undo.
@@ -581,8 +599,10 @@ impl QuotaTracker {
         ok
     }
 
-    /// Records a commit of one user with signature `sig`.
-    pub(super) fn commit(&mut self, sig: u16) {
+    /// Records a commit of `user`, which starts a new round.
+    pub(super) fn commit(&mut self, user: UserId) {
+        self.verdicts.fill(None);
+        let sig = self.sig[user.index()];
         self.avail[sig as usize] -= 1;
         for i in 0..self.q() {
             if sig & (1 << i) != 0 {

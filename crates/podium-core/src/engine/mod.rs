@@ -2,33 +2,33 @@
 //! storage.
 //!
 //! A [`SelectSpec`] names everything one run needs besides the instance
-//! and its [`CsrGraph`]: the budget, the [`Strategy`] (Algorithm 1's eager
-//! greedy, CELF lazy greedy, or stochastic sampling), an eligibility
-//! filter, quota windows with an optional anneal schedule, and a stop
-//! hook. Combinations no strategy supports are refused in one place,
+//! and its [`CsrGraph`]: the budget, the [`Strategy`] (Algorithm 1's
+//! scan, CELF's heap, or stochastic sampling), an eligibility filter,
+//! quota windows with an optional anneal schedule, and a stop hook.
+//! Combinations no strategy supports are refused in one place,
 //! [`SelectSpec::check`].
 //!
-//! Every lazy run — plain, deadline-bounded, or quota-constrained — goes
-//! through the same CELF loop; with no quotas it is bit-identical to the
-//! eager algorithm under the `FirstUser` tie-break, for every weight
-//! vector: both maintain the same exact marginals with the same
-//! arithmetic.
+//! `Eager` and `Lazy` run the same exact greedy loop, with quotas and a
+//! stop hook or without: Algorithm 1's exact marginals, kept once, and
+//! one of two argmax rules over them. Under the `FirstUser` tie-break
+//! both rules pick the same user every round, so the two strategies are
+//! bit-identical for every weight vector, and a `Lazy` run hands itself
+//! to the scan once its heap's stale pops show the scan is cheaper.
 //!
 //! [`CsrGraph`] is the flat bipartite user ↔ group adjacency, built once
 //! from a [`GroupSet`](crate::group::GroupSet) in `O(|V| + |E|)`; serving
 //! layers keep one per snapshot and select from it across many requests.
 //!
-//! Complexity: eager greedy is `O(|E| + B·n + Σ_{covered G} |G|)`; the
-//! lazy heap keeps the scan and the member-side decrements and replaces
+//! Complexity: the scan is `O(|E| + B·n + Σ_{covered G} |G|)`; the heap
+//! keeps the round-0 scan and the member-side decrements and replaces
 //! the `B·n` argmax scans with `O(n)` heapify plus `O(log n)` per heap
 //! operation — `O(|E| + Σ_{covered G} |G| + r·log n)` for `r` stale
 //! refreshes, each a single push.
 
+mod algorithm1;
 pub mod anneal;
 pub mod constrained;
 pub mod csr;
-mod eager;
-mod lazy;
 mod stochastic;
 
 pub use anneal::{anneal_refine, AnnealSchedule};
@@ -46,14 +46,17 @@ use crate::score::ScoreValue;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// Algorithm 1 with decremental marginal maintenance (the paper's
-    /// eager update scheme), breaking argmax ties by `tie_break`.
+    /// eager update scheme): each round scans the exact marginals and
+    /// breaks argmax ties by `tie_break`.
     Eager {
         /// Tie-break among users sharing the maximal marginal.
         tie_break: TieBreak,
     },
     /// CELF lazy greedy over a max-heap of stale upper bounds, refreshed
     /// from Algorithm 1's exact marginals. Ties go to the smaller user id,
-    /// so selections are bit-identical to `Eager { tie_break: FirstUser }`.
+    /// so selections are bit-identical to `Eager { tie_break: FirstUser }`;
+    /// once one round's stale pops show the scan is cheaper, the run
+    /// finishes with the scan.
     Lazy,
     /// Stochastic greedy (Mirzasoleiman et al., AAAI 2015): each round
     /// evaluates a seeded sample of `⌈(n/B)·ln(1/ε)⌉` candidates, for a
@@ -86,15 +89,15 @@ pub struct SelectSpec<'a> {
     /// Restricts the candidate pool (the customization refinement `𝒰'`
     /// of §6); one flag per user.
     pub eligible: Option<&'a [bool]>,
-    /// Per-group occupancy windows, resolved against `budget`. `Lazy`
-    /// only; an empty set runs the plain loop.
+    /// Per-group occupancy windows, resolved against `budget`. Not with
+    /// stochastic sampling; an empty set runs the plain loop.
     pub quotas: Option<&'a QuotaSet>,
     /// Refines the constrained greedy slate by seeded annealing. Needs
     /// `quotas`.
     pub anneal: Option<&'a AnnealSchedule>,
     /// Deadline hook, polled with the number of committed users before
     /// the round-0 scan and after every committed round; `true` stops the
-    /// run with [`SelectError::Stopped`]. `Lazy` only.
+    /// run with [`SelectError::Stopped`]. Not with stochastic sampling.
     pub stop: Option<&'a dyn Fn(usize) -> bool>,
 }
 
@@ -114,13 +117,13 @@ impl SelectSpec<'_> {
     /// Refuses the combinations no strategy supports. [`select`] calls
     /// this first; it is the one place they are decided.
     pub fn check(&self) -> Result<(), SpecError> {
-        if self.strategy != Strategy::Lazy {
+        if matches!(self.strategy, Strategy::Stochastic { .. }) {
             for (set, what) in [
                 (self.quotas.is_some(), "quotas"),
                 (self.stop.is_some(), "a stop hook"),
             ] {
                 if set {
-                    return Err(SpecError::LazyOnly(what));
+                    return Err(SpecError::StochasticWith(what));
                 }
             }
         }
@@ -147,8 +150,9 @@ impl SelectSpec<'_> {
 /// A [`SelectSpec`] combination no strategy supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecError {
-    /// The named setting needs [`Strategy::Lazy`].
-    LazyOnly(&'static str),
+    /// Stochastic sampling combined with the named setting, which only
+    /// the exact loop (`Eager` or `Lazy`) takes.
+    StochasticWith(&'static str),
     /// An eligibility filter combined with the named setting.
     EligibilityWith(&'static str),
     /// An anneal schedule without quotas to anneal under.
@@ -158,7 +162,9 @@ pub enum SpecError {
 impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SpecError::LazyOnly(what) => write!(f, "{what} need the lazy strategy"),
+            SpecError::StochasticWith(what) => {
+                write!(f, "stochastic sampling cannot be combined with {what}")
+            }
             SpecError::EligibilityWith(what) => {
                 write!(f, "an eligibility filter cannot be combined with {what}")
             }
@@ -217,14 +223,11 @@ pub fn select<W: ScoreValue>(
     }
     let b = spec.budget;
     match spec.strategy {
-        Strategy::Eager { tie_break } => {
-            Ok(eager::eager_select(inst, csr, b, spec.eligible, tie_break))
-        }
         Strategy::Stochastic { epsilon, seed } => {
             Ok(stochastic::stochastic_select(inst, csr, b, epsilon, seed))
         }
-        Strategy::Lazy => {
-            let greedy = lazy::celf(inst, csr, spec)?;
+        Strategy::Eager { .. } | Strategy::Lazy => {
+            let greedy = algorithm1::greedy(inst, csr, spec)?;
             Ok(match (spec.quotas, spec.anneal) {
                 (Some(quotas), Some(schedule)) => {
                     anneal_refine(inst, csr, quotas, &greedy, schedule)

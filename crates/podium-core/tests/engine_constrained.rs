@@ -5,7 +5,10 @@
 //! * **Exactness** — on random small instances, the constrained
 //!   selector returns `Infeasible` *iff* a brute-force sweep over every
 //!   subset of size ≤ budget finds no feasible assignment; when it does
-//!   return a selection, every quota window holds.
+//!   return a selection, every quota window holds. The scan
+//!   (`Eager { FirstUser }`) and the heap (`Lazy`) return the same result
+//!   bit for bit, and a `Seeded` scan meets the same contract and replays
+//!   per seed.
 //! * **Equivalence** — with an empty `QuotaSet`, the constrained
 //!   selector is bit-identical (users, gains, score, covered counts) to
 //!   the unconstrained CELF.
@@ -18,8 +21,9 @@
 
 use podium_core::engine::{
     anneal_refine, constrained_lazy_select, feasible_by_brute_force, lazy_select_csr, select,
-    AnnealSchedule, CsrGraph, Quota, QuotaBound, QuotaSet, SelectSpec, Strategy,
+    AnnealSchedule, CsrGraph, Quota, QuotaBound, QuotaSet, SelectError, SelectSpec, Strategy,
 };
+use podium_core::greedy::TieBreak;
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
@@ -99,6 +103,16 @@ proptest! {
         let csr = CsrGraph::from_group_set(&groups);
         let quotas = build_quotas(&raw_quotas, groups.len(), budget);
         let feasible = feasible_by_brute_force(&csr, budget, &quotas);
+        let constrained = |strategy| SelectSpec {
+            quotas: Some(&quotas),
+            ..SelectSpec::new(budget, strategy)
+        };
+        let scan = Strategy::Eager { tie_break: TieBreak::FirstUser };
+        prop_assert_eq!(
+            select(&inst, &csr, &constrained(scan)),
+            select(&inst, &csr, &constrained(Strategy::Lazy)),
+            "the scan and the heap must agree under quotas"
+        );
         match constrained_lazy_select(&inst, &csr, budget, &quotas) {
             Ok(sel) => {
                 prop_assert!(feasible, "selector succeeded on an infeasible instance");
@@ -120,6 +134,46 @@ proptest! {
                     "selector said infeasible ({err}) but brute force found a subset"
                 );
             }
+        }
+    }
+
+    /// The `Seeded` scan under quotas: every window holds, the same seed
+    /// replays the same selection bit for bit, and `Infeasible` comes back
+    /// iff brute force finds no feasible subset.
+    #[test]
+    fn seeded_scan_meets_quotas_and_replays_per_seed(
+        users in 1usize..=10,
+        raw_groups in prop::collection::vec(prop::collection::vec(0u8..=255, 1..5), 1..7),
+        budget in 1usize..=5,
+        raw_quotas in prop::collection::vec((0u8..=255, 0u8..=255, 0u8..=255, any::<bool>()), 0..4),
+        scheme_bits in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let groups = build_groups(users, &raw_groups);
+        let (w, c) = schemes(scheme_bits);
+        let inst = DiversificationInstance::from_schemes(&groups, w, c, budget);
+        let csr = CsrGraph::from_group_set(&groups);
+        let quotas = build_quotas(&raw_quotas, groups.len(), budget);
+        let spec = SelectSpec {
+            quotas: Some(&quotas),
+            ..SelectSpec::new(budget, Strategy::Eager { tie_break: TieBreak::Seeded(seed) })
+        };
+        let once = select(&inst, &csr, &spec);
+        prop_assert_eq!(&select(&inst, &csr, &spec), &once, "the same seed must replay");
+        match once {
+            Ok(sel) => {
+                prop_assert!(feasible_by_brute_force(&csr, budget, &quotas));
+                prop_assert!(
+                    quotas.satisfied_by(&sel.covered_counts),
+                    "seeded selection violates a quota: {:?} vs {:?}",
+                    sel.covered_counts,
+                    quotas.quotas()
+                );
+            }
+            Err(SelectError::Infeasible(_)) => {
+                prop_assert!(!feasible_by_brute_force(&csr, budget, &quotas));
+            }
+            Err(other) => prop_assert!(false, "unexpected error {other}"),
         }
     }
 

@@ -3,15 +3,16 @@
 //! *bit-identical* selections — same `users`, same per-round `gains`, same
 //! `score`, same `covered_counts` — on randomized instances with varying
 //! weights, zero-weight groups, coverage requirements above one, and
-//! heavily overlapping groups, and on the paper's running example. The
-//! CELF loop must also return the identical selection with an empty quota
-//! set and under a stop hook that never fires.
+//! heavily overlapping groups, and on the paper's running example. Both
+//! strategies must also return the identical selection with an empty
+//! quota set, and the identical prefix under a stop hook.
 //!
 //! The guarantee holds for every weight vector under the `FirstUser`
-//! tie-break — non-integer `f64` weights included — because the CELF loop
-//! maintains Algorithm 1's exact marginals with the eager loop's own
-//! arithmetic; see `crates/podium-core/src/engine/lazy.rs` for the
-//! heap-invariant argument.
+//! tie-break — non-integer `f64` weights included — because both
+//! strategies run one loop over Algorithm 1's exact marginals and differ
+//! only in how a round finds its argmax; see
+//! `crates/podium-core/src/engine/algorithm1.rs` for the heap-invariant
+//! argument.
 
 use podium_core::engine::{
     constrained_lazy_select, lazy_select_csr, select, AnnealSchedule, CsrGraph, QuotaSet,
@@ -281,31 +282,33 @@ fn no_quotas_empty_quotas_and_stop_hooks_agree() {
             (WeightScheme::Identical, CovScheme::Single),
         ] {
             let b = 9;
-            let ctx = format!("seed={seed} {w:?}/{c:?}");
             let inst = DiversificationInstance::from_schemes(&groups, w, c, b);
-            let lazy = || SelectSpec::new(b, Strategy::Lazy);
-            let reference = select(&inst, &csr, &lazy()).expect("plain CELF completes");
-            let empty = QuotaSet::empty(b);
-            let spec = SelectSpec {
-                quotas: Some(&empty),
-                ..lazy()
-            };
-            assert_eq!(
-                select(&inst, &csr, &spec),
-                Ok(reference.clone()),
-                "{ctx}: empty quotas"
-            );
-            // A stop hook yields the exact prefix.
-            let at_three = |committed: usize| committed >= 3;
-            let spec = SelectSpec {
-                stop: Some(&at_three),
-                ..lazy()
-            };
-            let Err(SelectError::Stopped(prefix)) = select(&inst, &csr, &spec) else {
-                panic!("{ctx}: the stop hook must end the run");
-            };
-            assert_eq!(prefix.users, reference.users[..3], "{ctx}");
-            assert_eq!(prefix.gains, reference.gains[..3], "{ctx}");
+            let reference =
+                select(&inst, &csr, &SelectSpec::new(b, EAGER)).expect("scan completes");
+            for strategy in [EAGER, Strategy::Lazy] {
+                let ctx = format!("seed={seed} {w:?}/{c:?} {strategy:?}");
+                let empty = QuotaSet::empty(b);
+                let spec = SelectSpec {
+                    quotas: Some(&empty),
+                    ..SelectSpec::new(b, strategy)
+                };
+                assert_eq!(
+                    select(&inst, &csr, &spec),
+                    Ok(reference.clone()),
+                    "{ctx}: empty quotas"
+                );
+                // A stop hook yields the exact prefix.
+                let at_three = |committed: usize| committed >= 3;
+                let spec = SelectSpec {
+                    stop: Some(&at_three),
+                    ..SelectSpec::new(b, strategy)
+                };
+                let Err(SelectError::Stopped(prefix)) = select(&inst, &csr, &spec) else {
+                    panic!("{ctx}: the stop hook must end the run");
+                };
+                assert_eq!(prefix.users, reference.users[..3], "{ctx}");
+                assert_eq!(prefix.gains, reference.gains[..3], "{ctx}");
+            }
         }
     }
 }
@@ -340,23 +343,16 @@ fn rejected_spec_combinations_are_refused() {
         (
             SelectSpec {
                 quotas: Some(&quotas),
-                ..SelectSpec::new(3, EAGER)
-            },
-            SpecError::LazyOnly("quotas"),
-        ),
-        (
-            SelectSpec {
-                quotas: Some(&quotas),
                 ..SelectSpec::new(3, stochastic)
             },
-            SpecError::LazyOnly("quotas"),
+            SpecError::StochasticWith("quotas"),
         ),
         (
             SelectSpec {
                 stop: Some(&never),
                 ..SelectSpec::new(3, stochastic)
             },
-            SpecError::LazyOnly("a stop hook"),
+            SpecError::StochasticWith("a stop hook"),
         ),
         (
             SelectSpec {

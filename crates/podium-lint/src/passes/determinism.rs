@@ -340,7 +340,7 @@ mod tests {
         assert!(entries[0].1.contains("bit-identical"));
         assert_eq!(entries[1], ("src/solo".to_owned(), String::new()));
         assert_eq!(
-            manifest_note(&entries, "crates/podium-core/src/engine/eager.rs"),
+            manifest_note(&entries, "crates/podium-core/src/engine/algorithm1.rs"),
             Some("selection is bit-identical per seed")
         );
         assert_eq!(

@@ -11,8 +11,6 @@
 //!   coverage, usefulness, rating-distribution similarity, rating variance;
 //! * [`overlap`] — pairwise property-overlap statistics of a subset (the
 //!   §8.4 "2 versus tens" diagnostic);
-//! * [`proportionate`] — deviation from exact proportionate allocation
-//!   (Definition 2.1), quantifying §2's impossibility argument;
 //! * [`significance`] — paired bootstrap confidence intervals for
 //!   algorithm comparisons;
 //! * [`report`] — normalize-to-leader comparison tables (the presentation
@@ -25,7 +23,6 @@ pub mod cdsim;
 pub mod intrinsic;
 pub mod opinion;
 pub mod overlap;
-pub mod proportionate;
 pub mod report;
 pub mod significance;
 
@@ -37,7 +34,6 @@ pub mod prelude {
     };
     pub use crate::opinion::{evaluate_destination, OpinionMetrics};
     pub use crate::overlap::{overlap_stats, OverlapStats};
-    pub use crate::proportionate::{is_proportionate, mean_allocation_error};
     pub use crate::report::ComparisonTable;
     pub use crate::significance::{paired_bootstrap, BootstrapResult};
 }

@@ -12,7 +12,7 @@
 //!   rules, synthetic TripAdvisor/Yelp-like population generators with
 //!   ground-truth opinions;
 //! * [`baselines`] — comparator selectors (random, k-means clustering,
-//!   distance-based S-Model, exhaustive optimal, stratified sampling, MMR);
+//!   distance-based S-Model, exhaustive optimal);
 //! * [`metrics`] — the paper's evaluation metrics (CD-sim, coverage metrics,
 //!   opinion-diversity metrics);
 //! * [`service`] — the concurrent serving layer: versioned repository

@@ -100,11 +100,6 @@ fn greedy_beats_every_baseline_on_its_own_objective() {
         Box::new(RandomSelector::new(22)),
         Box::new(KMeansSelector::new(22)),
         Box::new(DistanceSelector::new(22)),
-        Box::new(MmrSelector::new(0.5)),
-        Box::new(StratifiedSelector::new(
-            22,
-            podium::baselines::stratified::Strata::PropertyFamily("livesIn ".into()),
-        )),
     ];
     for b in baselines {
         let score = inst.score_of(&b.select(repo, 8));

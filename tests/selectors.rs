@@ -4,8 +4,6 @@
 
 use podium::baselines::prelude::*;
 use podium::baselines::selector::check_selection;
-use podium::baselines::stratified::Strata;
-use podium::core::bucket::BucketSet;
 use podium::prelude::*;
 use proptest::prelude::*;
 
@@ -38,16 +36,7 @@ fn all_selectors(seed: u64) -> Vec<Box<dyn Selector>> {
         Box::new(RandomSelector::new(seed)),
         Box::new(KMeansSelector::new(seed)),
         Box::new(DistanceSelector::new(seed)),
-        Box::new(MmrSelector::new(0.5)),
-        Box::new(StratifiedSelector::new(
-            seed,
-            Strata::PropertyFamily("p0".into()),
-        )),
         Box::new(OptimalSelector::new().with_limit(1 << 22)),
-        Box::new(TModelSelector::new(
-            PropertyId(0),
-            BucketSet::from_interior_edges(&[0.5]).unwrap(),
-        )),
     ]
 }
 
