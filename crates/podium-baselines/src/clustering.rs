@@ -12,8 +12,7 @@
 
 use podium_core::ids::UserId;
 use podium_core::profile::UserRepository;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use podium_core::rng::Rng;
 
 use crate::selector::Selector;
 
@@ -52,11 +51,11 @@ impl KMeansSelector {
         let n = repo.user_count();
         let dims = repo.property_count();
         let k = k.min(n).max(1);
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = Rng::new(self.seed);
 
         // --- k-means++ seeding ---
         let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let first = rng.random_range(0..n);
+        let first = rng.below(n);
         centroids.push(dense_of(repo, UserId::from_index(first), dims));
         let mut d2: Vec<f64> = (0..n)
             .map(|u| sparse_dense_d2(repo, UserId::from_index(u), &centroids[0]))
@@ -64,9 +63,9 @@ impl KMeansSelector {
         while centroids.len() < k {
             let total: f64 = d2.iter().sum();
             let next = if total <= 0.0 {
-                rng.random_range(0..n)
+                rng.below(n)
             } else {
-                let mut x = rng.random::<f64>() * total;
+                let mut x = rng.unit() * total;
                 let mut pick = n - 1;
                 for (u, &w) in d2.iter().enumerate() {
                     x -= w;

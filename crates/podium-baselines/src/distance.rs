@@ -11,9 +11,7 @@
 
 use podium_core::ids::UserId;
 use podium_core::profile::UserRepository;
-use rand::rngs::StdRng;
-use rand::seq::index::sample;
-use rand::SeedableRng;
+use podium_core::rng::Rng;
 
 use crate::selector::Selector;
 
@@ -68,12 +66,10 @@ impl Selector for DistanceSelector {
         if b == 0 {
             return Vec::new();
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let sample_n = self.sample_size.min(n);
-        let probe: Vec<UserId> = sample(&mut rng, n, sample_n)
-            .into_iter()
-            .map(UserId::from_index)
-            .collect();
+        let mut probe: Vec<UserId> = (0..n).map(UserId::from_index).collect();
+        Rng::new(self.seed).shuffle_prefix(&mut probe, sample_n);
+        probe.truncate(sample_n);
 
         // First pick: maximal average distance to the probe sample.
         let mut best = (f64::NEG_INFINITY, UserId(0));

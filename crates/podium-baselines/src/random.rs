@@ -6,9 +6,7 @@
 
 use podium_core::ids::UserId;
 use podium_core::profile::UserRepository;
-use rand::rngs::StdRng;
-use rand::seq::index::sample;
-use rand::SeedableRng;
+use podium_core::rng::Rng;
 
 use crate::selector::Selector;
 
@@ -33,11 +31,9 @@ impl Selector for RandomSelector {
     fn select(&self, repo: &UserRepository, b: usize) -> Vec<UserId> {
         let n = repo.user_count();
         let b = b.min(n);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut out: Vec<UserId> = sample(&mut rng, n, b)
-            .into_iter()
-            .map(UserId::from_index)
-            .collect();
+        let mut out: Vec<UserId> = (0..n).map(UserId::from_index).collect();
+        Rng::new(self.seed).shuffle_prefix(&mut out, b);
+        out.truncate(b);
         out.sort();
         out
     }

@@ -18,10 +18,9 @@ use podium_core::greedy::greedy_select;
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
+use podium_core::rng::Rng;
 use podium_core::weights::{CovScheme, WeightScheme};
 use podium_data::synth::SynthDataset;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Result of one approximation-ratio measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,6 +37,17 @@ pub struct ApproxResult {
     pub ratio: f64,
 }
 
+/// A uniform sample of `users` distinct users, ascending.
+fn sample_users(dataset: &SynthDataset, users: usize, seed: u64) -> Vec<UserId> {
+    let mut ids: Vec<UserId> = (0..dataset.repo.user_count())
+        .map(UserId::from_index)
+        .collect();
+    Rng::new(seed).shuffle_prefix(&mut ids, users);
+    ids.truncate(users);
+    ids.sort();
+    ids
+}
+
 /// Runs greedy vs. optimal on `trials` random samples of `users` users.
 pub fn run_approx(
     dataset: &SynthDataset,
@@ -48,10 +58,7 @@ pub fn run_approx(
 ) -> Vec<ApproxResult> {
     let mut out = Vec::with_capacity(trials);
     for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
-        let sample =
-            podium_data::synth::stats::sample_distinct(&mut rng, dataset.repo.user_count(), users);
-        let ids: Vec<UserId> = sample.into_iter().map(UserId::from_index).collect();
+        let ids = sample_users(dataset, users, seed.wrapping_add(t as u64));
         let repo = dataset.repo.restrict(&ids);
         let buckets = BucketingConfig::adaptive_default().bucketize(&repo);
         let groups = GroupSet::build(&repo, &buckets);
@@ -103,10 +110,7 @@ pub fn run_optscale(
     user_counts
         .iter()
         .map(|&n| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let sample =
-                podium_data::synth::stats::sample_distinct(&mut rng, dataset.repo.user_count(), n);
-            let ids: Vec<UserId> = sample.into_iter().map(UserId::from_index).collect();
+            let ids = sample_users(dataset, n, seed);
             let repo = dataset.repo.restrict(&ids);
             let buckets = BucketingConfig::adaptive_default().bucketize(&repo);
             let groups = GroupSet::build(&repo, &buckets);

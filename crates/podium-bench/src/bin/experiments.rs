@@ -5,13 +5,13 @@
 //! experiments <id> [--scale X] [--budget B] [--seed S]
 //! ```
 //! where `<id>` is one of `table2`, `fig3a`, `fig3b`, `fig3c`, `fig3d`,
-//! `fig4`, `fig5`, `fig6`, `approx`, `optscale`, `ablation`, `drift`,
-//! `constrained`, or `all`.
+//! `opinion`, `fig4`, `fig5`, `fig6`, `approx`, `optscale`, `ablation`,
+//! `drift`, `constrained`, or `all`.
 //!
 //! Run with `--release`; the scalability and approximation experiments are
 //! meaningless in debug builds.
 
-use podium_bench::opinion_exp::OpinionConfig;
+use podium_bench::opinion_exp::{OpinionConfig, FIG3B, FIG3D};
 use podium_bench::{
     approx_exp, budget_exp, custom_exp, datasets, engine_exp, intrinsic_exp, opinion_exp,
     scalability_exp, table2_exp,
@@ -30,6 +30,7 @@ const EXPERIMENTS: &[(&str, bool)] = &[
     ("fig3b", true),
     ("fig3c", true),
     ("fig3d", true),
+    ("opinion", true),
     ("fig4", true),
     ("fig5", true),
     ("fig6", true),
@@ -114,7 +115,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: experiments <id>[,<id>...] [--scale X] [--budget B] [--seed S] \
          [--timeout-secs T] [--status-file PATH]\n\
-         ids: table2, fig3a, fig3b, fig3c, fig3d, fig4, fig5, fig6, approx, \
+         ids: table2, fig3a, fig3b, fig3c, fig3d, opinion, fig4, fig5, fig6, approx, \
          optscale, bsweep, ablation, drift, constrained, \
          selftest-panic, selftest-slow, all\n\
          Each experiment runs panic-isolated: a failure is recorded in the \
@@ -325,19 +326,21 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
                 args.seed,
             );
         }
-        "fig3b" => {
-            header("Figure 3b: TripAdvisor-like opinion diversity");
-            let dataset = datasets::ta_dataset(args.scale, args.seed);
-            let (table, detailed) = opinion_exp::run_opinion_detailed(
-                &dataset,
-                OpinionConfig {
-                    destinations: 50,
-                    min_reviews: 8,
-                    budget: args.budget,
-                    with_usefulness: false,
-                    seed: args.seed,
-                },
-            );
+        "fig3b" | "fig3d" => {
+            let figure = if id == "fig3b" {
+                header("Figure 3b: TripAdvisor-like opinion diversity");
+                FIG3B
+            } else {
+                header("Figure 3d: Yelp-like opinion diversity");
+                FIG3D
+            };
+            let dataset = (figure.dataset)(args.scale, args.seed);
+            let config = OpinionConfig {
+                budget: args.budget,
+                seed: args.seed,
+                ..figure.config
+            };
+            let (table, detailed) = opinion_exp::run_opinion_detailed(&dataset, config);
             print!("{}", table.render());
             print_significance(&detailed);
         }
@@ -371,21 +374,12 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
                 args.seed,
             );
         }
-        "fig3d" => {
-            header("Figure 3d: Yelp-like opinion diversity");
-            let dataset = datasets::yelp_dataset(args.scale, args.seed);
-            let (table, detailed) = opinion_exp::run_opinion_detailed(
-                &dataset,
-                OpinionConfig {
-                    destinations: 130,
-                    min_reviews: 10,
-                    budget: args.budget,
-                    with_usefulness: true,
-                    seed: args.seed,
-                },
-            );
-            print!("{}", table.render());
-            print_significance(&detailed);
+        "opinion" => {
+            header("Opinion panel: fig3b and fig3d over a fixed panel of dataset seeds");
+            let panel = opinion_exp::run_panel(args.scale, args.budget);
+            print!("{}", opinion_exp::render_panel(&panel));
+            // The checked-in artifact: the pooled verdicts EXPERIMENTS.md cites.
+            write_artifact("BENCH_22.json", serde_json::to_string_pretty(&panel));
         }
         "fig4" => {
             header("Figure 4: Yelp-like intrinsic diversity with customization");

@@ -15,11 +15,10 @@ use podium_core::customize::{custom_select, Feedback};
 use podium_core::group::GroupSet;
 use podium_core::ids::GroupId;
 use podium_core::instance::DiversificationInstance;
+use podium_core::rng::Rng;
 use podium_core::weights::{CovScheme, WeightScheme};
 use podium_data::synth::SynthDataset;
 use podium_metrics::intrinsic::IntrinsicMetrics;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One averaged row of Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,6 +29,16 @@ pub struct CustomRow {
     pub metrics: IntrinsicMetrics,
     /// Averaged feedback group coverage.
     pub feedback_coverage: f64,
+}
+
+/// One repetition's priority groups: `max_size` distinct group ids in
+/// selection order. Every prefix `𝒢_s` is a uniform `s`-subset of the
+/// groups, and the prefixes nest: `𝒢_20 ⊆ 𝒢_40 ⊆ …`.
+fn priority_order(groups: usize, max_size: usize, seed: u64) -> Vec<GroupId> {
+    let mut order: Vec<GroupId> = (0..groups).map(GroupId::from_index).collect();
+    Rng::new(seed).shuffle_prefix(&mut order, max_size);
+    order.truncate(max_size);
+    order
 }
 
 /// Runs the Figure 4 experiment.
@@ -59,17 +68,10 @@ pub fn run_customization(
         sizes.iter().map(|&s| (s, Vec::new(), Vec::new())).collect();
 
     for rep in 0..reps.max(1) {
-        // One nested random permutation per repetition: 𝒢_20 ⊆ 𝒢_40 ⊆ … .
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(rep as u64));
-        let perm = podium_data::synth::stats::sample_distinct(&mut rng, groups.len(), max_size);
+        let order = priority_order(groups.len(), max_size, seed.wrapping_add(rep as u64));
         for (s, metrics_acc, cov_acc) in rows.iter_mut() {
-            let gd: Vec<GroupId> = perm
-                .iter()
-                .take((*s).min(perm.len()))
-                .map(|&i| GroupId::from_index(i))
-                .collect();
             let feedback = Feedback {
-                priority: gd,
+                priority: order.iter().take(*s).copied().collect(),
                 ..Feedback::default()
             };
             let sel = custom_select(
@@ -165,6 +167,23 @@ mod tests {
             custom > base * 0.5,
             "but not catastrophically: base {base} custom {custom}"
         );
+    }
+
+    #[test]
+    fn priority_prefixes_are_uniform_samples() {
+        // A prefix of the draw is a uniform sample of all groups, not the
+        // lowest ids of a larger one: over many repetitions the mean id of
+        // a 20-prefix of an 80-draw from 100 groups is near 49.5 (the
+        // lowest 20 of a uniform 80-subset average about 12).
+        let (mut sum, mut n) = (0usize, 0usize);
+        for seed in 0..200 {
+            let order = priority_order(100, 80, seed);
+            assert_eq!(order.len(), 80);
+            sum += order[..20].iter().map(|g| g.index()).sum::<usize>();
+            n += 20;
+        }
+        let mean = sum as f64 / n as f64;
+        assert!((mean - 49.5).abs() < 3.0, "mean prefix id {mean}");
     }
 
     #[test]

@@ -28,12 +28,11 @@ use podium_core::greedy::TieBreak;
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
-use podium_core::rng::splitmix64;
+use podium_core::rng::Rng;
 use podium_core::weights::{CovScheme, WeightScheme};
 use podium_data::synth::tripadvisor;
 use podium_service::protocol::{num_f64, num_u64};
 use podium_sim::population::build_initial;
-use podium_sim::rng::SimRng;
 use serde_json::Value;
 
 use crate::serving_exp::serve_scenario;
@@ -90,19 +89,19 @@ fn instances(scale: f64, seed: u64) -> [(&'static str, GroupSet); 3] {
 fn serve_groups(users: usize, seed: u64) -> GroupSet {
     let mut scenario = serve_scenario();
     scenario.population.users = users;
-    let (repo, buckets, _) = build_initial(&scenario, &mut SimRng::new(seed));
+    let (repo, buckets, _) = build_initial(&scenario, &mut Rng::new(seed));
     GroupSet::build(&repo, &buckets)
 }
 
 /// `users / 2` overlapping groups of 3–18 members drawn uniformly.
 fn sparse_groups(users: usize, seed: u64) -> GroupSet {
-    let mut state = seed;
-    let mut draw =
-        |bound: usize| usize::try_from(splitmix64(&mut state)).unwrap_or(usize::MAX) % bound;
+    let mut rng = Rng::new(seed);
     let memberships = (0..users / 2)
         .map(|_| {
-            let size = 3 + draw(16);
-            (0..size).map(|_| UserId::from_index(draw(users))).collect()
+            let size = 3 + rng.below(16);
+            (0..size)
+                .map(|_| UserId::from_index(rng.below(users)))
+                .collect()
         })
         .collect();
     GroupSet::from_memberships(users, memberships)

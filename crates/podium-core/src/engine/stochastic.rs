@@ -10,7 +10,7 @@
 use crate::greedy::Selection;
 use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
-use crate::rng::splitmix64;
+use crate::rng::Rng;
 use crate::score::ScoreValue;
 
 use super::csr::CsrGraph;
@@ -47,7 +47,7 @@ pub(super) fn stochastic_select<W: ScoreValue>(
 
     let mut cov_rem: Vec<u32> = inst.covs().to_vec();
     let mut available: Vec<u32> = (0..n as u32).collect();
-    let mut rng_state = seed ^ 0x5851_F42D_4C95_7F2D;
+    let mut rng = Rng::new(seed ^ 0x5851_F42D_4C95_7F2D);
 
     let gain_of = |u: u32, cov_rem: &[u32]| -> W {
         let mut gain = W::zero();
@@ -69,12 +69,9 @@ pub(super) fn stochastic_select<W: ScoreValue>(
         if available.is_empty() {
             break;
         }
-        // Partial Fisher–Yates: move a fresh random sample to the front.
+        // Move a fresh random sample to the front.
         let k = sample_size.min(available.len());
-        for i in 0..k {
-            let j = i + (splitmix64(&mut rng_state) as usize) % (available.len() - i);
-            available.swap(i, j);
-        }
+        rng.shuffle_prefix(&mut available, k);
         // Best of the sample.
         let mut best_idx = 0usize;
         let mut best_gain = gain_of(available[0], &cov_rem);

@@ -71,15 +71,12 @@ impl EbsValue {
 /// noise to group weights" to randomize the otherwise deterministic
 /// selection. The perturbation preserves positivity, so all of Proposition
 /// 4.4's guarantees (and the greedy bound) continue to hold for the
-/// perturbed instance. Deterministic for a fixed seed (splitmix64 stream).
+/// perturbed instance. Deterministic for a fixed seed.
 pub fn noisy_weights(base: &[f64], amplitude: f64, seed: u64) -> Vec<f64> {
     let amplitude = amplitude.clamp(0.0, 0.99);
-    let mut state = seed ^ 0xA076_1D64_78BD_642F;
+    let mut rng = crate::rng::Rng::new(seed ^ 0xA076_1D64_78BD_642F);
     base.iter()
-        .map(|&w| {
-            let u = crate::rng::unit_float(&mut state);
-            w * (1.0 - amplitude + 2.0 * amplitude * u)
-        })
+        .map(|&w| w * (1.0 - amplitude + 2.0 * amplitude * rng.unit()))
         .collect()
 }
 

@@ -18,9 +18,11 @@
 //! inside the final record, so the damage it does is also confined to one
 //! record.
 //!
-//! All randomness comes from a splitmix64 stream seeded at construction:
-//! the same seed, document, and fault list always produce byte-identical
-//! corruption.
+//! All randomness comes from the workspace's seeded stream
+//! ([`podium_core::rng::Rng`]), seeded at construction: the same seed,
+//! document, and fault list always produce byte-identical corruption.
+
+use podium_core::rng::Rng;
 
 /// One class of corruption the injector can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,38 +57,15 @@ impl FaultKind {
 /// one-record contract.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    state: u64,
+    rng: Rng,
 }
 
 impl FaultInjector {
     /// A new injector; identical seeds replay identical corruption.
     pub fn new(seed: u64) -> Self {
         Self {
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
+            rng: Rng::new(seed ^ 0x9E37_79B9_7F4A_7C15),
         }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        podium_core::rng::splitmix64(&mut self.state)
-    }
-
-    fn gen_range(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0, "gen_range over an empty range");
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Picks `k` distinct values from `pool` (deterministic partial
-    /// Fisher–Yates). Returns `None` when the pool is too small.
-    fn pick_distinct(&mut self, mut pool: Vec<usize>, k: usize) -> Option<Vec<usize>> {
-        if pool.len() < k {
-            return None;
-        }
-        for i in 0..k {
-            let j = i + self.gen_range(pool.len() - i);
-            pool.swap(i, j);
-        }
-        pool.truncate(k);
-        Some(pool)
     }
 
     /// Corrupts a clean JSON profile document with `faults`, one distinct
@@ -116,8 +95,9 @@ impl FaultInjector {
             .filter(|f| *f != FaultKind::TruncateDocument)
             .collect();
         let upper = if truncates == 1 { n - 1 } else { n };
-        let pool: Vec<usize> = (1..upper).collect();
-        let targets = self.pick_distinct(pool, others.len())?;
+        // The length checks above leave at least `others.len()` records.
+        let mut targets: Vec<usize> = (1..upper).collect();
+        self.rng.shuffle_prefix(&mut targets, others.len());
 
         // Truncation goes first (while the last record's clean-text span is
         // still valid), then record-local edits from the highest span
@@ -136,7 +116,7 @@ impl FaultInjector {
             let span = records[n - 1];
             // Any proper prefix of a balanced object is unbalanced, so any
             // cut strictly inside the span truncates exactly this record.
-            let mut cut = span.start + 1 + self.gen_range(span.end - span.start - 1);
+            let mut cut = span.start + 1 + self.rng.below(span.end - span.start - 1);
             while !text.is_char_boundary(cut) {
                 cut -= 1;
             }
@@ -151,10 +131,10 @@ impl FaultInjector {
                 FaultKind::DuplicateUser => replace_name_value(&local, &donor_name)?,
                 FaultKind::MissingField => mangle_name_key(&local)?,
                 FaultKind::GarbageBytes => {
-                    let garbage: String = (0..1 + self.gen_range(8))
+                    let garbage: String = (0..1 + self.rng.below(8))
                         .map(|_| {
                             const SAFE: &[u8] = b"@#$%^&*;~";
-                            SAFE[self.gen_range(SAFE.len())] as char
+                            SAFE[self.rng.below(SAFE.len())] as char
                         })
                         .collect();
                     let mut s = local.clone();
@@ -194,8 +174,9 @@ impl FaultInjector {
             .filter(|f| *f != FaultKind::TruncateDocument)
             .collect();
         let upper = if truncates == 1 { rows - 1 } else { rows };
-        let pool: Vec<usize> = (1..upper).collect();
-        let targets = self.pick_distinct(pool, others.len())?;
+        // The length checks above leave at least `others.len()` rows.
+        let mut targets: Vec<usize> = (1..upper).collect();
+        self.rng.shuffle_prefix(&mut targets, others.len());
         let donor_name = lines[1].split(',').next()?.to_owned();
         for (fault, t) in others.into_iter().zip(targets) {
             let row = &lines[1 + t];
@@ -355,10 +336,13 @@ impl FaultInjector {
         while names.contains(&missing) {
             missing.push('_');
         }
-        let pool: Vec<usize> = (1..names.len())
+        let mut targets: Vec<usize> = (1..names.len())
             .filter(|&i| !referenced.contains(&names[i]))
             .collect();
-        let targets = self.pick_distinct(pool, faults.len())?;
+        if targets.len() < faults.len() {
+            return None;
+        }
+        self.rng.shuffle_prefix(&mut targets, faults.len());
 
         let Value::Object(top) = &mut doc else {
             return None;
@@ -434,7 +418,7 @@ impl FaultInjector {
             if eligible.is_empty() {
                 return None;
             }
-            let t = eligible[self.gen_range(eligible.len())];
+            let t = eligible[self.rng.below(eligible.len())];
             free.retain(|&i| i != t);
             assignment.push((t, fault));
         }

@@ -27,8 +27,7 @@ use std::collections::HashSet;
 
 use podium_core::ids::UserId;
 use podium_core::profile::UserRepository;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use podium_core::rng::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::derive::{derive_properties, DeriveOptions};
@@ -103,7 +102,7 @@ pub struct SynthDataset {
 impl SynthConfig {
     /// Generates the dataset.
     pub fn generate(&self) -> SynthDataset {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = Rng::new(self.seed);
         let taxonomy = Taxonomy::generate(self.regions, self.leaves_per_region);
         let leaves = taxonomy.leaves();
         let n_leaves = leaves.len();
@@ -129,11 +128,11 @@ impl SynthConfig {
         for _ in 0..self.users {
             user_city.push(stats::weighted_index(&mut rng, &city_weights) as u32);
             user_age_group.push(if self.age_groups > 0 {
-                rng.random_range(0..self.age_groups) as u32
+                rng.below(self.age_groups) as u32
             } else {
                 0
             });
-            let arch = &archetypes[rng.random_range(0..archetypes.len())];
+            let arch = &archetypes[rng.below(archetypes.len())];
             user_pref.push(
                 arch.iter()
                     .map(|&a| a + stats::normal(&mut rng, 0.0, 0.5))
@@ -155,11 +154,13 @@ impl SynthConfig {
             let leaf_idx = stats::weighted_index(&mut rng, &leaf_weights);
             let city = stats::weighted_index(&mut rng, &city_weights) as u32;
             let quality = stats::normal(&mut rng, 3.4, 0.7).clamp(1.0, 5.0);
-            let n_topics = rng.random_range(3..=8.min(self.topics.max(3)));
-            let topics = stats::sample_distinct(&mut rng, self.topics.max(1), n_topics)
-                .into_iter()
-                .map(TopicId::from_index)
-                .collect();
+            let max_topics = 8.min(self.topics.max(3));
+            let n_topics = 3 + rng.below(max_topics - 3 + 1);
+            let mut topics: Vec<usize> = (0..self.topics.max(1)).collect();
+            rng.shuffle_prefix(&mut topics, n_topics);
+            topics.truncate(n_topics);
+            topics.sort_unstable();
+            let topics = topics.into_iter().map(TopicId::from_index).collect();
             by_category[leaf_idx].push(d);
             by_cat_city.entry((leaf_idx, city)).or_default().push(d);
             destinations.push(Destination {
@@ -183,7 +184,7 @@ impl SynthConfig {
                 let mut dest: Option<usize> = None;
                 for _attempt in 0..6 {
                     let leaf_idx = stats::weighted_index(&mut rng, &probs);
-                    let pool: &[usize] = if rng.random::<f64>() < 0.6 {
+                    let pool: &[usize] = if rng.unit() < 0.6 {
                         by_cat_city
                             .get(&(leaf_idx, user_city[u]))
                             .map(Vec::as_slice)
@@ -194,7 +195,7 @@ impl SynthConfig {
                     if pool.is_empty() {
                         continue;
                     }
-                    let d = pool[rng.random_range(0..pool.len())];
+                    let d = pool[rng.below(pool.len())];
                     if visited.insert(d) {
                         dest = Some(d);
                         break;
@@ -214,7 +215,7 @@ impl SynthConfig {
                 // Topic mentions with rating-correlated sentiment.
                 let mut topics = Vec::new();
                 for &t in &destinations[d].topics {
-                    if rng.random::<f64>() < 0.6 {
+                    if rng.unit() < 0.6 {
                         let lean = f64::from(rating) - 3.0 + stats::normal(&mut rng, 0.0, 0.8);
                         topics.push((
                             t,
@@ -508,8 +509,8 @@ mod tests {
         );
         // And a long tail of niche groups exists: at least a fifth of the
         // groups hold under 5% of the population each. (The exact share
-        // depends on the seeded RNG stream, which is implementation-defined;
-        // a fifth leaves headroom without losing the heavy-tail property.)
+        // depends on the seeded stream; a fifth leaves headroom without
+        // losing the heavy-tail property.)
         let niche_cutoff = d.repo.user_count() / 20;
         let small = sizes.iter().filter(|&&s| s <= niche_cutoff).count();
         assert!(

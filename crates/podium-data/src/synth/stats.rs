@@ -1,16 +1,17 @@
 //! Small deterministic samplers used by the population generator.
 //!
-//! Only `rand`'s uniform primitives are available offline, so the classical
-//! transforms are implemented here: Box–Muller normals, log-normals, Knuth
-//! Poisson, and Zipf-weighted categorical draws.
+//! The workspace's seeded stream ([`Rng`]) draws only uniform words, unit
+//! floats and bounded integers, so the classical transforms are
+//! implemented here: Box–Muller normals, log-normals, Knuth Poisson, and
+//! Zipf-weighted categorical draws.
 
-use rand::RngExt;
+use podium_core::rng::Rng;
 
 /// Standard normal via Box–Muller.
-pub fn normal<R: RngExt + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
+pub fn normal(rng: &mut Rng, mean: f64, sd: f64) -> f64 {
     loop {
-        let u1: f64 = rng.random::<f64>();
-        let u2: f64 = rng.random::<f64>();
+        let u1 = rng.unit();
+        let u2 = rng.unit();
         if u1 <= f64::MIN_POSITIVE {
             continue;
         }
@@ -20,12 +21,12 @@ pub fn normal<R: RngExt + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
 }
 
 /// Log-normal with the given *underlying* normal parameters.
-pub fn log_normal<R: RngExt + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+pub fn log_normal(rng: &mut Rng, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
 /// Poisson via Knuth's multiplication method (fine for small λ).
-pub fn poisson<R: RngExt + ?Sized>(rng: &mut R, lambda: f64) -> u32 {
+pub fn poisson(rng: &mut Rng, lambda: f64) -> u32 {
     if lambda <= 0.0 {
         return 0;
     }
@@ -33,7 +34,7 @@ pub fn poisson<R: RngExt + ?Sized>(rng: &mut R, lambda: f64) -> u32 {
     let mut k = 0u32;
     let mut p = 1.0f64;
     loop {
-        p *= rng.random::<f64>();
+        p *= rng.unit();
         if p <= l || k > 10_000 {
             return k;
         }
@@ -48,10 +49,10 @@ pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
 
 /// Samples an index proportionally to `weights` (must be non-negative, not
 /// all zero).
-pub fn weighted_index<R: RngExt + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
+pub fn weighted_index(rng: &mut Rng, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().sum();
     debug_assert!(total > 0.0, "weights must have positive mass");
-    let mut x = rng.random::<f64>() * total;
+    let mut x = rng.unit() * total;
     for (i, &w) in weights.iter().enumerate() {
         x -= w;
         if x <= 0.0 {
@@ -72,27 +73,12 @@ pub fn softmax(scores: &[f64], temperature: f64) -> Vec<f64> {
     exp.into_iter().map(|e| e / total).collect()
 }
 
-/// Samples `k` distinct indices from `0..n` (Floyd's algorithm), sorted.
-pub fn sample_distinct<R: RngExt + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    let k = k.min(n);
-    let mut chosen = std::collections::BTreeSet::new();
-    for j in (n - k)..n {
-        let t = rng.random_range(0..=j);
-        if !chosen.insert(t) {
-            chosen.insert(j);
-        }
-    }
-    chosen.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> Rng {
+        Rng::new(42)
     }
 
     #[test]
@@ -155,17 +141,5 @@ mod tests {
         let p = softmax(&[1e6, 0.0], 1.0);
         assert!(p[0] > 0.999);
         assert!(p.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn sample_distinct_properties() {
-        let mut r = rng();
-        for _ in 0..100 {
-            let s = sample_distinct(&mut r, 10, 4);
-            assert_eq!(s.len(), 4);
-            assert!(s.windows(2).all(|w| w[0] < w[1]), "sorted distinct");
-            assert!(s.iter().all(|&x| x < 10));
-        }
-        assert_eq!(sample_distinct(&mut r, 3, 10).len(), 3, "k clamped to n");
     }
 }

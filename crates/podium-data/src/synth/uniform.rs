@@ -8,7 +8,7 @@
 //! [`synthetic_repository`] and the simulator's population assign with.
 
 use podium_core::profile::UserRepository;
-use podium_core::rng::unit_float;
+use podium_core::rng::Rng;
 
 /// The property (index into `0..properties`) a user scores in window
 /// slot `slot` when each user scores `spu` properties: the window
@@ -32,12 +32,12 @@ pub fn synthetic_repository(
     let props: Vec<_> = (0..properties)
         .map(|p| repo.intern_property(format!("topic-{p}")))
         .collect();
-    let mut rng = seed;
+    let mut rng = Rng::new(seed);
     for i in 0..users {
         let u = repo.add_user(format!("user-{i}"));
         for s in 0..scores_per_user.min(properties) {
             let p = props[assigned_property(i, s, properties, scores_per_user)];
-            repo.set_score(u, p, unit_float(&mut rng))
+            repo.set_score(u, p, rng.unit())
                 .expect("synthetic scores are in range");
         }
     }

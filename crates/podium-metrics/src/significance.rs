@@ -44,8 +44,8 @@ impl BootstrapResult {
 /// Runs a paired bootstrap on per-item metric values of two algorithms.
 ///
 /// `confidence` is the central-interval mass (e.g. `0.95`); `resamples`
-/// bootstrap replicas are drawn with a deterministic splitmix64 stream
-/// seeded by `seed`.
+/// bootstrap replicas are drawn from the workspace's seeded stream
+/// ([`podium_core::rng::Rng`]) seeded by `seed`.
 ///
 /// # Panics
 /// Panics if the slices differ in length, are empty, or `confidence` is
@@ -67,8 +67,7 @@ pub fn paired_bootstrap(
     let diffs: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
     let mean_diff = diffs.iter().sum::<f64>() / n as f64;
 
-    let mut state = seed ^ 0x1234_5678_9ABC_DEF0;
-    let mut next = move || podium_core::rng::splitmix64(&mut state);
+    let mut rng = podium_core::rng::Rng::new(seed ^ 0x1234_5678_9ABC_DEF0);
 
     let resamples = resamples.max(1);
     let mut means = Vec::with_capacity(resamples);
@@ -76,7 +75,7 @@ pub fn paired_bootstrap(
     for _ in 0..resamples {
         let mut sum = 0.0;
         for _ in 0..n {
-            sum += diffs[(next() as usize) % n];
+            sum += diffs[rng.below(n)];
         }
         let m = sum / n as f64;
         if m <= 0.0 {

@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+use podium_core::rng::Rng;
 use podium_core::weights::{CovScheme, WeightScheme};
 use podium_data::synth::assigned_property;
 use podium_service::protocol::{encode_request, num_u64, Request};
@@ -45,7 +46,7 @@ use serde_json::Value;
 use crate::clients::{ClientRun, ClosedLoop};
 use crate::events::{Event, EventQueue};
 use crate::population::{bucket_score, Population, SimUser};
-use crate::rng::SimRng;
+use crate::rng::{exp_gap_us, pick_row};
 use crate::scenario::Scenario;
 use crate::stream::{parse_stream, JsonlStream};
 use crate::transport::{micros, outcome_tag, Endpoint, Transport, TransportSpec};
@@ -94,7 +95,7 @@ pub struct SimOutput {
     pub dashboard: Value,
 }
 
-/// Stream keys for [`SimRng::derive`]; fixed so adding a process never
+/// Stream keys for [`Rng::derive`]; fixed so adding a process never
 /// reseeds the others.
 mod streams {
     pub const POPULATION: u64 = 1;
@@ -135,14 +136,14 @@ struct SessionState {
 struct Driver {
     scenario: Scenario,
     transport: Transport,
-    arrival_rng: SimRng,
-    churn_rng: SimRng,
-    drift_rng: SimRng,
-    session_rng: SimRng,
+    arrival_rng: Rng,
+    churn_rng: Rng,
+    drift_rng: Rng,
+    session_rng: Rng,
     population: Population,
     sessions: BTreeMap<u64, SessionState>,
     next_sid: u64,
-    group_count: u64,
+    group_count: usize,
     max_epoch: u64,
     // Artifacts under construction.
     trace: String,
@@ -176,7 +177,7 @@ pub fn run_sim_with(
     options: &SimOptions,
     deployment: &Deployment,
 ) -> Result<SimOutput, SimError> {
-    let root = SimRng::new(options.seed);
+    let root = Rng::new(options.seed);
     let build =
         || crate::population::build_initial(scenario, &mut root.derive(streams::POPULATION));
     let (repo, buckets, population) = build();
@@ -240,13 +241,13 @@ pub fn run_sim_with(
     // The observer polls first (at t=0) so the driver knows the group
     // count and starting epoch before any session asks for refinements.
     queue.schedule(0, Event::Observer);
-    let first_arrival = driver.arrival_rng.exp_gap_us(scenario.arrival_rate_hz);
+    let first_arrival = exp_gap_us(&mut driver.arrival_rng, scenario.arrival_rate_hz);
     schedule_before(&mut queue, first_arrival, end_us, Event::Arrival);
-    let first_churn = driver.churn_rng.exp_gap_us(scenario.churn_rate_hz);
+    let first_churn = exp_gap_us(&mut driver.churn_rng, scenario.churn_rate_hz);
     schedule_before(&mut queue, first_churn, end_us, Event::Churn);
-    let first_drift = driver.drift_rng.exp_gap_us(scenario.drift.rate_hz);
+    let first_drift = exp_gap_us(&mut driver.drift_rng, scenario.drift.rate_hz);
     schedule_before(&mut queue, first_drift, end_us, Event::Drift);
-    let first_session = driver.session_rng.exp_gap_us(scenario.session.rate_hz);
+    let first_session = exp_gap_us(&mut driver.session_rng, scenario.session.rate_hz);
     schedule_before(&mut queue, first_session, end_us, Event::OpenSession);
     queue.schedule(end_us, Event::End);
 
@@ -365,22 +366,22 @@ impl Driver {
         match event {
             Event::Arrival => {
                 self.arrival(now_us);
-                let gap = self.arrival_rng.exp_gap_us(self.scenario.arrival_rate_hz);
+                let gap = exp_gap_us(&mut self.arrival_rng, self.scenario.arrival_rate_hz);
                 schedule_before(queue, now_us.saturating_add(gap), end_us, Event::Arrival);
             }
             Event::Churn => {
                 self.churn(now_us);
-                let gap = self.churn_rng.exp_gap_us(self.scenario.churn_rate_hz);
+                let gap = exp_gap_us(&mut self.churn_rng, self.scenario.churn_rate_hz);
                 schedule_before(queue, now_us.saturating_add(gap), end_us, Event::Churn);
             }
             Event::Drift => {
                 self.drift(now_us);
-                let gap = self.drift_rng.exp_gap_us(self.scenario.drift.rate_hz);
+                let gap = exp_gap_us(&mut self.drift_rng, self.scenario.drift.rate_hz);
                 schedule_before(queue, now_us.saturating_add(gap), end_us, Event::Drift);
             }
             Event::OpenSession => {
                 self.open_session(queue, now_us, end_us);
-                let gap = self.session_rng.exp_gap_us(self.scenario.session.rate_hz);
+                let gap = exp_gap_us(&mut self.session_rng, self.scenario.session.rate_hz);
                 schedule_before(
                     queue,
                     now_us.saturating_add(gap),
@@ -416,8 +417,7 @@ impl Driver {
         let mut writes = Vec::with_capacity(spu);
         for slot in 0..spu {
             let p = assigned_property(ordinal, slot, properties, spu);
-            // podium-lint: allow(as-cast) — bucket count is a small scenario constant
-            let bucket = self.arrival_rng.below(buckets as u64) as usize;
+            let bucket = self.arrival_rng.below(buckets);
             user.props.push((p, bucket));
             writes.push((p, bucket_score(&self.scenario, bucket)));
         }
@@ -470,9 +470,8 @@ impl Driver {
             let Some(user) = self.population.users.get(user_idx) else {
                 return;
             };
-            let slot = self.drift_rng.below(user.props.len() as u64);
-            // podium-lint: allow(as-cast) — slot < props.len() by construction
-            let Some(&(prop, bucket)) = user.props.get(slot as usize) else {
+            let slot = self.drift_rng.below(user.props.len());
+            let Some(&(prop, bucket)) = user.props.get(slot) else {
                 continue;
             };
             self.drift_steps += 1;
@@ -483,7 +482,7 @@ impl Driver {
                 .get(bucket)
                 .cloned()
                 .unwrap_or_default();
-            let next = self.drift_rng.pick_row(&row);
+            let next = pick_row(&mut self.drift_rng, &row);
             if next == bucket {
                 continue;
             }
@@ -492,8 +491,7 @@ impl Driver {
                 let Some(user) = self.population.users.get_mut(user_idx) else {
                     continue;
                 };
-                // podium-lint: allow(as-cast) — slot < props.len() by construction
-                if let Some(entry) = user.props.get_mut(slot as usize) {
+                if let Some(entry) = user.props.get_mut(slot) {
                     entry.1 = next;
                 }
                 user.name.clone()
@@ -668,7 +666,7 @@ impl Driver {
         let response = self.emit(now_us, "observer", None, &Request::Stats);
         if let Some(r) = response {
             if let Some(groups) = r.get("groups").and_then(Value::as_u64) {
-                self.group_count = groups;
+                self.group_count = usize::try_from(groups).unwrap_or(0);
             }
         }
     }

@@ -6,7 +6,8 @@
 //! (§9's "may be easily executed multiple times, e.g., to incorporate
 //! data updates"). This crate turns that into a reproducible workload:
 //!
-//! * [`rng`] — splitmix64 streams, one per stochastic process;
+//! * [`rng`] — exponential gaps and Markov-row steps over the
+//!   workspace's seeded stream, one stream per stochastic process;
 //! * [`events`] — the virtual-clock event heap (min-heap on
 //!   `(virtual_time, seq)`), the discrete-event core;
 //! * [`scenario`] — versioned JSON scenario definitions

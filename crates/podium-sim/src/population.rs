@@ -9,9 +9,9 @@
 
 use podium_core::bucket::{BucketStrategy, BucketingConfig, PropertyBuckets};
 use podium_core::profile::UserRepository;
+use podium_core::rng::Rng;
 use podium_data::synth::assigned_property;
 
-use crate::rng::SimRng;
 use crate::scenario::Scenario;
 
 /// One simulated user.
@@ -37,13 +37,11 @@ pub struct Population {
 
 impl Population {
     /// Picks a live user uniformly; `None` when everyone has churned.
-    pub fn pick_active(&self, rng: &mut SimRng) -> Option<usize> {
+    pub fn pick_active(&self, rng: &mut Rng) -> Option<usize> {
         if self.active.is_empty() {
             return None;
         }
-        let slot = rng.below(self.active.len() as u64);
-        // podium-lint: allow(as-cast) — slot < active.len() by construction
-        self.active.get(slot as usize).copied()
+        self.active.get(rng.below(self.active.len())).copied()
     }
 
     /// Removes `user` (an index into `users`) from the active list.
@@ -71,7 +69,7 @@ impl Population {
 /// the equal-width bucketing the service will group by.
 pub fn build_initial(
     scenario: &Scenario,
-    rng: &mut SimRng,
+    rng: &mut Rng,
 ) -> (UserRepository, PropertyBuckets, Population) {
     let buckets = scenario.drift.bucket_scores.len();
     let mut repo = UserRepository::new();
@@ -93,8 +91,7 @@ pub fn build_initial(
                 scenario.population.properties,
                 scenario.population.scores_per_user,
             );
-            // podium-lint: allow(as-cast) — bucket count is a small scenario constant
-            let bucket = rng.below(buckets as u64) as usize;
+            let bucket = rng.below(buckets);
             let score = bucket_score(scenario, bucket);
             if let Some(pid) = props.get(p) {
                 if repo.set_score(uid, *pid, score).is_ok() {
@@ -143,8 +140,8 @@ mod tests {
     #[test]
     fn initial_population_is_deterministic() {
         let s = scenario();
-        let (repo_a, _, pop_a) = build_initial(&s, &mut SimRng::new(9));
-        let (repo_b, _, pop_b) = build_initial(&s, &mut SimRng::new(9));
+        let (repo_a, _, pop_a) = build_initial(&s, &mut Rng::new(9));
+        let (repo_b, _, pop_b) = build_initial(&s, &mut Rng::new(9));
         assert_eq!(repo_a.user_count(), repo_b.user_count());
         assert_eq!(pop_a.users.len(), pop_b.users.len());
         for (a, b) in pop_a.users.iter().zip(pop_b.users.iter()) {
@@ -156,7 +153,7 @@ mod tests {
     #[test]
     fn every_property_gets_populated() {
         let s = scenario();
-        let (_, _, pop) = build_initial(&s, &mut SimRng::new(9));
+        let (_, _, pop) = build_initial(&s, &mut Rng::new(9));
         let mut seen = vec![false; s.population.properties];
         for u in &pop.users {
             for (p, _) in &u.props {
@@ -169,7 +166,7 @@ mod tests {
     #[test]
     fn deactivate_removes_from_active() {
         let s = scenario();
-        let (_, _, mut pop) = build_initial(&s, &mut SimRng::new(9));
+        let (_, _, mut pop) = build_initial(&s, &mut Rng::new(9));
         let n = pop.active.len();
         pop.deactivate(3);
         assert_eq!(pop.active.len(), n - 1);
@@ -180,12 +177,12 @@ mod tests {
     #[test]
     fn pick_active_is_none_when_everyone_churned() {
         let mut pop = Population::default();
-        assert!(pop.pick_active(&mut SimRng::new(1)).is_none());
+        assert!(pop.pick_active(&mut Rng::new(1)).is_none());
         pop.push(SimUser {
             name: "u".into(),
             props: vec![],
             alive: true,
         });
-        assert_eq!(pop.pick_active(&mut SimRng::new(1)), Some(0));
+        assert_eq!(pop.pick_active(&mut Rng::new(1)), Some(0));
     }
 }

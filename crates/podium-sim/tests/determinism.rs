@@ -30,6 +30,24 @@ fn same_seed_same_trace_and_rollup() {
     assert!(!a.trace.is_empty());
 }
 
+/// FNV-1a 64 over `bytes`, the digest `constraint_fingerprint` uses.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn sim_smoke_seed_701_is_pinned() {
+    // `sim run --scenario configs/sim_smoke.json --seed 701` writes these
+    // bytes as trace.jsonl (sha256 75958ca6…) and rollup.json (0910e7b0…).
+    // A refactor that moves the simulator's stream moves these digests.
+    let out = run(701, TransportSpec::Inproc);
+    let rollup = serde_json::to_string(&out.rollup).unwrap();
+    assert_eq!(fnv1a(out.trace.as_bytes()), 0x853d_2947_89cc_2a60, "trace");
+    assert_eq!(fnv1a(rollup.as_bytes()), 0xefd6_7a40_a4b3_ccde, "rollup");
+}
+
 #[test]
 fn distinct_seeds_distinct_traces() {
     let a = run(1, TransportSpec::Inproc);
